@@ -1,11 +1,11 @@
-// Command tebis-server runs a standalone single-node Tebis deployment
-// with a file-backed device and a line-oriented TCP front end — a
-// convenience binary for poking at the storage engine outside the
-// in-process benchmark harness. The full replicated data plane (RDMA
-// simulation, Send-Index) lives in the library and is exercised by
-// cmd/tebis-bench and the examples; -replica attaches one in-process
-// Send-Index backup so the full merge → build → ship → rewrite pipeline
-// is observable from this binary alone.
+// Command tebis-server serves the Tebis data plane over a line-oriented
+// TCP front end. It is a thin adapter over server.Server: the engine
+// runs on a region server named primary, backed by a file device, and
+// every line-protocol command becomes one call on a single
+// client.Client shared by all connections. -replica adds a second
+// in-process region server, backup0 on a memory device, holding the
+// region's Send-Index backup, so the full merge → build → ship →
+// rewrite pipeline is observable from this binary alone.
 //
 // Usage:
 //
@@ -18,17 +18,15 @@
 // re-verifies an existing image read-only and exits (cmd/tebis-fsck is
 // the standalone version with a -recover mode).
 //
-// Commands execute on a bounded worker pool with the same dispatch
-// discipline as the RDMA data plane (DESIGN.md §11): -workers worker
-// goroutines (default 8, the data plane's DefaultWorkers), each with a
-// -queue-depth task queue (default 4x the threshold, the data plane's
-// WorkerQueueDepth default), and a -task-threshold wake-up threshold
-// (default 64, DefaultTaskThreshold) beyond which dispatch spills to
-// the next worker. With -admission (default on), a signal-driven
-// controller watches queue wait, adapts the wake-up threshold, and
-// sheds mutations under overload ("ERR overloaded ..."; reads are never
-// refused); -admission=false pins the fixed knob. A -trace-sample
-// fraction of commands (default 1/128) is decomposed into
+// The worker pool, its dispatch rule, admission control and online GC
+// all live in internal/server (DESIGN.md §11, §12); the flags here only
+// configure them. -workers, -task-threshold and -queue-depth size the
+// primary's worker pool. With -admission (default on), a signal-driven
+// controller adapts the wake-up threshold to queue wait and sheds
+// mutations under overload; the client backs off and retries, and a
+// mutation still shed on its last retry answers "ERR overloaded ...".
+// Reads are never refused. -admission=false pins the fixed knob. A
+// -trace-sample fraction of commands (default 1/128) is decomposed into
 // tebis_op_stage_seconds stage latencies with exemplar trace IDs
 // resolvable on /debug/trace.
 //
@@ -57,18 +55,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"tebis/internal/admission"
 	"tebis/internal/client"
 	"tebis/internal/fsck"
-	"tebis/internal/kv"
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
@@ -80,158 +75,92 @@ import (
 	"tebis/internal/storage"
 )
 
-// engineState bundles the engine with its instrumentation for the serve
-// loop: per-command latency histograms and the user-byte counter that
-// anchors the amplification gauges.
-type engineState struct {
-	db      *lsm.DB
-	dev     storage.Device
-	cycles  *metrics.Cycles
-	opLat   map[string]*metrics.Histogram
-	dataset atomic.Uint64
+// backupName names the in-process backup server -replica adds.
+const backupName = "backup0"
+
+// plane is the data plane behind the line protocol: the primary region
+// server, the optional in-process backup server, and the one client
+// every connection's commands go through.
+type plane struct {
+	primary *server.Server
+	backup  *server.Server // nil without -replica
+	client  *client.Client
 }
 
-func newEngineState(db *lsm.DB, dev storage.Device, cycles *metrics.Cycles) *engineState {
-	st := &engineState{db: db, dev: dev, cycles: cycles,
-		opLat: make(map[string]*metrics.Histogram)}
-	for _, op := range []string{"PUT", "GET", "DEL", "SCAN"} {
-		st.opLat[op] = metrics.NewHistogram()
+// openPlane starts a region server from cfg and opens one region
+// covering the whole keyspace on it. A non-nil backupDev adds a server
+// named backup0 on that device, joined to the region as its Send-Index
+// backup. ccfg configures the client; its servers and region map are
+// filled in here.
+func openPlane(cfg server.Config, backupDev storage.Device, ccfg client.Config) (*plane, error) {
+	primary, err := server.New(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return st
-}
-
-// poolTenant labels this binary's single tenant in stage series and
-// admission counters (the line protocol carries no tenant field).
-const poolTenant = "t0"
-
-// poolTask is one command handed to the worker pool.
-type poolTask struct {
-	sentAt  time.Time
-	traceID uint64
-	run     func(rt *obs.ReqTrace, traceID uint64)
-	done    chan struct{}
-}
-
-// pool executes line-protocol commands on a bounded worker pool with
-// the data plane's dispatch discipline (DESIGN.md §11): per-worker task
-// queues, a wake-up threshold that spills work to the next worker when
-// a queue runs deep, an admission door that sheds mutations under
-// overload, and per-stage latency attribution for sampled commands.
-type pool struct {
-	workers   []chan poolTask
-	threshold int
-	ctrl      *admission.Controller
-	stages    *metrics.StageSet
-	tracer    *obs.Tracer
-	// sampleEvery is the command-sampling period (0 = sampling off).
-	sampleEvery uint64
-
-	next atomic.Int64
-	seq  atomic.Uint64
-}
-
-func newPool(workers, threshold, depth int, ctrl *admission.Controller,
-	stages *metrics.StageSet, tracer *obs.Tracer, sampleRate float64) *pool {
-	p := &pool{
-		workers:   make([]chan poolTask, workers),
-		threshold: threshold,
-		ctrl:      ctrl,
-		stages:    stages,
-		tracer:    tracer,
+	pl := &plane{primary: primary}
+	names, mode := []string{cfg.Name}, replica.NoReplication
+	if backupDev != nil {
+		names, mode = append(names, backupName), replica.SendIndex
 	}
-	if sampleRate > 0 {
-		p.sampleEvery = uint64(math.Round(1 / sampleRate))
+	rmap, err := region.Partition(1, names, len(names)-1)
+	if err != nil {
+		pl.Close()
+		return nil, err
 	}
-	for i := range p.workers {
-		q := make(chan poolTask, depth)
-		p.workers[i] = q
-		go p.work(q)
+	r := rmap.Regions[0]
+	p, err := primary.OpenPrimary(r, mode)
+	if err != nil {
+		pl.Close()
+		return nil, err
 	}
-	return p
-}
-
-// work drains one worker queue. Every task's queue wait feeds the
-// admission controller's EWMA; sampled tasks additionally record the
-// dispatch stage and its span before running.
-func (p *pool) work(q chan poolTask) {
-	for t := range q {
-		start := time.Now()
-		wait := start.Sub(t.sentAt)
-		if wait < 0 {
-			wait = 0
+	if backupDev != nil {
+		// The backup serves no clients, so one worker and one spinning
+		// thread are enough.
+		pl.backup, err = server.New(server.Config{
+			Name:        backupName,
+			Device:      backupDev,
+			Endpoint:    rdma.NewEndpoint(backupName),
+			Cycles:      &metrics.Cycles{},
+			LSM:         lsm.Options{L0MaxKeys: cfg.LSM.L0MaxKeys, NodeSize: cfg.LSM.NodeSize},
+			Workers:     1,
+			SpinThreads: 1,
+			Trace:       cfg.Trace,
+			Stages:      cfg.Stages,
+			Events:      cfg.Events,
+		})
+		if err != nil {
+			pl.Close()
+			return nil, err
 		}
-		p.ctrl.Observe(wait)
-		rt := p.tracer.Request(t.traceID)
-		if t.traceID != 0 {
-			p.stages.Record(metrics.StageDispatch, poolTenant, t.traceID, wait)
-			rt.Record(obs.Span{Cat: "request", Name: "dispatch",
-				Start: t.sentAt, Dur: wait})
+		b, err := pl.backup.OpenBackup(r, mode)
+		if err != nil {
+			pl.Close()
+			return nil, err
 		}
-		t.run(rt, t.traceID)
-		close(t.done)
+		replica.Attach(p, b)
 	}
+	ccfg.Servers = map[string]client.ServerHandle{cfg.Name: primary}
+	ccfg.Map = rmap
+	if pl.client, err = client.New(ccfg); err != nil {
+		pl.Close()
+		return nil, err
+	}
+	return pl, nil
 }
 
-// do runs one command through the pool and waits for it. mutation
-// routes the command through the admission door first; a false return
-// means it was shed (nothing ran) and the caller should answer
-// overloaded. Reads are never refused, so clients can always audit what
-// was acked.
-func (p *pool) do(mutation bool, fn func(rt *obs.ReqTrace, traceID uint64)) bool {
-	if mutation {
-		switch d := p.ctrl.Admit(poolTenant, 0); d.Action {
-		case admission.Shed:
-			return false
-		case admission.Delay:
-			time.Sleep(d.Delay)
+// Close stops the client, then the primary (detaching its backup),
+// then the backup server.
+func (pl *plane) Close() error {
+	if pl.client != nil {
+		pl.client.Close()
+	}
+	err := pl.primary.Close()
+	if pl.backup != nil {
+		if berr := pl.backup.Close(); err == nil {
+			err = berr
 		}
 	}
-	var traceID uint64
-	if p.sampleEvery > 0 {
-		if n := p.seq.Add(1); n%p.sampleEvery == 0 {
-			traceID = n
-		}
-	}
-	t := poolTask{sentAt: time.Now(), traceID: traceID,
-		run: fn, done: make(chan struct{})}
-	p.dispatch(t)
-	<-t.done
-	return true
-}
-
-// dispatch places a task on a worker queue, spilling past workers whose
-// queues exceed the wake-up threshold — the controller's adaptive value
-// when tightened below the configured one. When every queue is past the
-// threshold it blocks on one: the bounded queue is the backpressure.
-func (p *pool) dispatch(t poolTask) {
-	threshold := p.threshold
-	if adaptive := p.ctrl.Threshold(); adaptive > 0 && adaptive < threshold {
-		threshold = adaptive
-	}
-	next := int(p.next.Add(1))
-	for tries := 0; tries < len(p.workers); tries++ {
-		q := p.workers[(next+tries)%len(p.workers)]
-		if len(q) <= threshold {
-			select {
-			case q <- t:
-				return
-			default:
-			}
-		}
-	}
-	p.workers[next%len(p.workers)] <- t
-}
-
-// recordApply attributes one sampled mutation's engine time to the
-// apply stage (rt may be nil when no tracer is wired; the stage series
-// still collect).
-func (p *pool) recordApply(rt *obs.ReqTrace, traceID uint64, start time.Time) {
-	if traceID == 0 {
-		return
-	}
-	dur := time.Since(start)
-	rt.Record(obs.Span{Cat: "request", Name: "apply", Start: start, Dur: dur})
-	p.stages.Record(metrics.StageApply, poolTenant, traceID, dur)
+	return err
 }
 
 func main() {
@@ -287,183 +216,81 @@ func main() {
 		fatal("open device failed", "path", *data, "err", err)
 	}
 	defer fdev.Close()
-	// Write through the integrity layer so every sealed segment carries
-	// a CRC32C frame and the image is checkable with -fsck (DESIGN.md §7).
-	dev := storage.AsVerifying(fdev)
+	var backupDev storage.Device
+	if *withReplica {
+		mdev, err := storage.NewMemDevice(*segSize, 0)
+		if err != nil {
+			fatal("open backup device failed", "err", err)
+		}
+		defer mdev.Close()
+		backupDev = mdev
+	}
 
 	var (
-		cycles   metrics.Cycles
-		cstats   metrics.CompactionStats
-		failures metrics.FailureStats
-		tracer   *obs.Tracer
-		reg      *obs.Registry
+		tracer *obs.Tracer
+		reg    *obs.Registry
+		cstats metrics.CompactionStats
+		stages = metrics.NewStageSet()
 	)
 	if *metricsAddr != "" {
 		tracer = obs.NewTracer(0)
 		reg = obs.NewRegistry()
 	}
-
-	opt := lsm.Options{
-		Device:          dev,
-		L0MaxKeys:       *l0,
-		Cycles:          &cycles,
-		CompactionStats: &cstats,
-		Trace:           tracer.Node("primary"),
+	shipCodec := shipcodec.Flate
+	if *shipRaw {
+		shipCodec = shipcodec.None
 	}
-
-	// With -replica, the engine's listener is a Send-Index primary
-	// attached to one in-memory backup node, so every compaction runs
-	// the paper's full pipeline: merge → build → ship → offset rewrite.
-	var (
-		primary *replica.Primary
-		epP     *rdma.Endpoint
-		epB     *rdma.Endpoint
-		devB    *storage.MemDevice
-	)
-	shipStats := &metrics.ShipStats{}
-	lag := metrics.NewLagSet()
-	if *withReplica {
-		epP = rdma.NewEndpoint("primary")
-		epB = rdma.NewEndpoint("backup0")
-		devB, err = storage.NewMemDevice(*segSize, 0)
-		if err != nil {
-			fatal("open backup device failed", "err", err)
-		}
-		defer devB.Close()
-		shipCodec := shipcodec.Flate
-		if *shipRaw {
-			shipCodec = shipcodec.None
-		}
-		primary = replica.NewPrimary(replica.PrimaryConfig{
-			RegionID:     region.ID(1),
-			ServerName:   "primary",
-			Mode:         replica.SendIndex,
-			Endpoint:     epP,
-			Cycles:       &cycles,
-			Cost:         metrics.DefaultCostModel(),
-			Failures:     &failures,
-			Trace:        tracer.Node("primary"),
-			ShipCodec:    shipCodec,
-			ShipDelta:    !*shipRaw,
-			ShipPageSize: lsm.DefaultNodeSize,
-			Ship:         shipStats,
-			Lag:          lag,
-			Events:       ev,
-		})
-		opt.Listener = primary
+	// The client treats a zero rate as "default"; here it means off.
+	sampleRate := *traceSample
+	if sampleRate <= 0 {
+		sampleRate = -1
 	}
-
-	db, err := lsm.New(opt)
+	pl, err := openPlane(server.Config{
+		Name:     "primary",
+		Device:   fdev,
+		Endpoint: rdma.NewEndpoint("primary"),
+		Cycles:   &metrics.Cycles{},
+		LSM: lsm.Options{
+			L0MaxKeys:       *l0,
+			NodeSize:        lsm.DefaultNodeSize,
+			CompactionStats: &cstats,
+		},
+		Workers:          *workers,
+		TaskThreshold:    *taskThresh,
+		WorkerQueueDepth: *queueDepth,
+		ShipCodec:        shipCodec,
+		ShipDelta:        !*shipRaw,
+		Trace:            tracer,
+		Stages:           stages,
+		Events:           ev,
+		// Disabled keeps the controller (and its tebis_admission_*
+		// families) but pins the fixed knob.
+		Admission: &admission.Config{Disabled: !*admissionOn},
+		GC: server.GCConfig{
+			Enabled:      *gcOn,
+			MinDeadRatio: *gcRatio,
+			MaxSegments:  *gcMaxSegs,
+			Interval:     *gcInterval,
+		},
+	}, backupDev, client.Config{
+		Name:            "line-protocol",
+		Trace:           tracer,
+		TraceSampleRate: sampleRate,
+		Stages:          stages,
+	})
 	if err != nil {
-		fatal("open engine failed", "err", err)
+		fatal("open data plane failed", "err", err)
 	}
-	defer db.Close()
+	defer pl.Close()
 
-	if *withReplica {
-		var cyB metrics.Cycles
-		backup, err := replica.NewBackup(replica.BackupConfig{
-			RegionID:   region.ID(1),
-			ServerName: "backup0",
-			Mode:       replica.SendIndex,
-			Device:     storage.AsVerifying(devB),
-			Endpoint:   epB,
-			Cycles:     &cyB,
-			Cost:       metrics.DefaultCostModel(),
-			LSM:        lsm.Options{L0MaxKeys: *l0, NodeSize: lsm.DefaultNodeSize},
-			Trace:      tracer.Node("backup0"),
-		})
-		if err != nil {
-			fatal("open backup failed", "err", err)
-		}
-		replica.Attach(primary, backup)
-		primary.SetDB(db)
-		if reg != nil {
-			reg.RegisterDevice(obs.Labels{"node": "backup0"}, devB)
-			reg.RegisterEndpoint(obs.Labels{"node": "backup0"}, epB)
-			reg.RegisterCycles(obs.Labels{"node": "backup0"}, &cyB)
-		}
-	}
-
-	st := newEngineState(db, dev, &cycles)
-
-	// The bounded worker pool and admission door the serve loop routes
-	// commands through; the stage set only exists (and costs) with the
-	// observability stack on — both are nil-safe off that path.
-	if *queueDepth <= 0 {
-		*queueDepth = 4 * *taskThresh
-	}
-	ctrl := admission.New(admission.Config{
-		MaxThreshold: *taskThresh,
-		Disabled:     !*admissionOn,
-	})
-	var stages *metrics.StageSet
 	if reg != nil {
-		stages = metrics.NewStageSet()
-	}
-	pl := newPool(*workers, *taskThresh, *queueDepth, ctrl, stages, tracer, *traceSample)
-
-	// Online value-log GC (DESIGN.md §12): a background worker relocates
-	// live records out of mostly-dead segments and frees them, paced by
-	// the admission controller so foreground load always wins.
-	gcStats := &metrics.GCStats{}
-	if *gcOn {
-		go func() {
-			t := time.NewTicker(*gcInterval)
-			defer t.Stop()
-			for range t.C {
-				if _, err := db.GCOnce(lsm.GCPolicy{
-					MinDeadRatio: *gcRatio,
-					MaxSegments:  *gcMaxSegs,
-					Pacer:        ctrl,
-					Stats:        gcStats,
-				}); err != nil {
-					return
-				}
+		health := obs.NewHealth()
+		for _, s := range []*server.Server{pl.primary, pl.backup} {
+			if s != nil {
+				s.Observe(reg)
+				s.RegisterHealth(health)
 			}
-		}()
-	}
-
-	// Readiness: the node reports not-ready while replication to the
-	// attached backup is degraded — the same semantics server.Ready gives
-	// the in-process cluster nodes.
-	health := obs.NewHealth()
-	health.AddCheck("replication", func() error {
-		if primary != nil && primary.Degraded() {
-			return errors.New("replication degraded: backup evicted or unresponsive")
 		}
-		return nil
-	})
-
-	if reg != nil {
-		labels := obs.Labels{"node": "primary"}
-		reg.RegisterStages(nil, stages)
-		reg.RegisterLag(labels, lag)
-		reg.RegisterEvents(nil, ev)
-		ctrl.Register(reg, labels)
-		reg.RegisterDevice(labels, dev)
-		reg.RegisterCycles(labels, &cycles)
-		reg.RegisterCompaction(labels, &cstats)
-		reg.RegisterFailure(labels, &failures)
-		reg.RegisterShip(labels, shipStats)
-		reg.RegisterVlogSpace(labels, db.Log().SpaceReport)
-		reg.RegisterGC(labels, gcStats)
-		for op, h := range st.opLat {
-			reg.RegisterOpLatency(labels, op, h)
-		}
-		dataset := func() float64 { return float64(st.dataset.Load()) }
-		var netTraffic func() float64
-		if epP != nil {
-			reg.RegisterEndpoint(labels, epP)
-			netTraffic = func() float64 { return float64(epP.TxBytes() + epP.RxBytes()) }
-		}
-		reg.RegisterAmplification(labels,
-			func() float64 {
-				s := dev.Stats()
-				return float64(s.BytesRead + s.BytesWritten)
-			},
-			netTraffic, dataset)
-
-		reg.RegisterTracer(nil, tracer)
 
 		// Continuous profiling: the watchdog captures heap+CPU profiles
 		// when writer stalls spike (the paper's §5.1 backpressure
@@ -509,13 +336,22 @@ func main() {
 			logger.Warn("accept failed", "err", err)
 			continue
 		}
-		go serve(conn, st, pl)
+		go serve(conn, pl)
 	}
 }
 
-func serve(conn net.Conn, st *engineState, p *pool) {
-	db, dev, cycles := st.db, st.dev, st.cycles
+// errLine renders a failed command's reply; a mutation admission
+// control still shed after the client's retries answers overloaded.
+func errLine(err error) string {
+	if errors.Is(err, client.ErrOverloaded) {
+		return "ERR overloaded: shed by admission control, back off and retry"
+	}
+	return fmt.Sprintf("ERR %v", err)
+}
+
+func serve(conn net.Conn, pl *plane) {
 	defer conn.Close()
+	cl := pl.client
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	w := bufio.NewWriter(conn)
@@ -525,9 +361,7 @@ func serve(conn net.Conn, st *engineState, p *pool) {
 		if len(fields) == 0 {
 			continue
 		}
-		cmd := strings.ToUpper(fields[0])
-		start := time.Now()
-		switch cmd {
+		switch strings.ToUpper(fields[0]) {
 		case "PUT":
 			if len(fields) != 3 {
 				fmt.Fprintln(w, "ERR usage: PUT <key> <value>")
@@ -539,18 +373,11 @@ func serve(conn net.Conn, st *engineState, p *pool) {
 				fmt.Fprintln(w, "ERR bad escaping")
 				break
 			}
-			if !p.do(true, func(rt *obs.ReqTrace, traceID uint64) {
-				applyStart := time.Now()
-				if err := db.PutTraced(key, val, rt); err != nil {
-					fmt.Fprintf(w, "ERR %v\n", err)
-					return
-				}
-				p.recordApply(rt, traceID, applyStart)
-				st.dataset.Add(uint64(len(key) + len(val)))
-				fmt.Fprintln(w, "OK")
-			}) {
-				fmt.Fprintln(w, "ERR overloaded: shed by admission control, back off and retry")
+			if err := cl.Put(key, val); err != nil {
+				fmt.Fprintln(w, errLine(err))
+				break
 			}
+			fmt.Fprintln(w, "OK")
 		case "GET":
 			if len(fields) != 2 {
 				fmt.Fprintln(w, "ERR usage: GET <key>")
@@ -561,17 +388,15 @@ func serve(conn net.Conn, st *engineState, p *pool) {
 				fmt.Fprintln(w, "ERR bad escaping")
 				break
 			}
-			p.do(false, func(rt *obs.ReqTrace, traceID uint64) {
-				v, found, err := db.Get(key)
-				switch {
-				case err != nil:
-					fmt.Fprintf(w, "ERR %v\n", err)
-				case !found:
-					fmt.Fprintln(w, "NOTFOUND")
-				default:
-					fmt.Fprintf(w, "VALUE %q\n", v)
-				}
-			})
+			v, found, err := cl.Get(key)
+			switch {
+			case err != nil:
+				fmt.Fprintln(w, errLine(err))
+			case !found:
+				fmt.Fprintln(w, "NOTFOUND")
+			default:
+				fmt.Fprintf(w, "VALUE %q\n", v)
+			}
 		case "DEL":
 			if len(fields) != 2 {
 				fmt.Fprintln(w, "ERR usage: DEL <key>")
@@ -582,23 +407,17 @@ func serve(conn net.Conn, st *engineState, p *pool) {
 				fmt.Fprintln(w, "ERR bad escaping")
 				break
 			}
-			if !p.do(true, func(rt *obs.ReqTrace, traceID uint64) {
-				applyStart := time.Now()
-				if err := db.DeleteTraced(key, rt); err != nil {
-					fmt.Fprintf(w, "ERR %v\n", err)
-					return
-				}
-				p.recordApply(rt, traceID, applyStart)
-				fmt.Fprintln(w, "OK")
-			}) {
-				fmt.Fprintln(w, "ERR overloaded: shed by admission control, back off and retry")
+			if err := cl.Delete(key); err != nil {
+				fmt.Fprintln(w, errLine(err))
+				break
 			}
+			fmt.Fprintln(w, "OK")
 		case "SCAN":
 			if len(fields) != 3 {
 				fmt.Fprintln(w, "ERR usage: SCAN <start> <n>")
 				break
 			}
-			startKey, err := unq(fields[1])
+			start, err := unq(fields[1])
 			if err != nil {
 				fmt.Fprintln(w, "ERR bad escaping")
 				break
@@ -608,25 +427,35 @@ func serve(conn net.Conn, st *engineState, p *pool) {
 				fmt.Fprintln(w, "ERR bad count")
 				break
 			}
-			p.do(false, func(rt *obs.ReqTrace, traceID uint64) {
-				err := db.Scan(startKey, func(pr kv.Pair) bool {
-					fmt.Fprintf(w, "KV %q %q\n", pr.Key, pr.Value)
-					n--
-					return n > 0
-				})
+			// One reply holds as many pairs as fit the client's reply
+			// slot; continue past the last key until n pairs or the end
+			// of the keyspace.
+			for n > 0 {
+				pairs, err := cl.Scan(start, n)
 				if err != nil {
-					fmt.Fprintf(w, "ERR %v\n", err)
-					return
+					fmt.Fprintln(w, errLine(err))
+					break
 				}
-				fmt.Fprintln(w, "END")
-			})
+				if len(pairs) == 0 {
+					fmt.Fprintln(w, "END")
+					break
+				}
+				for _, p := range pairs {
+					fmt.Fprintf(w, "KV %q %q\n", p.Key, p.Value)
+				}
+				n -= len(pairs)
+				if n == 0 {
+					fmt.Fprintln(w, "END")
+				}
+				start = append(pairs[len(pairs)-1].Key, 0)
+			}
 		case "STATS":
-			devStats := dev.Stats()
+			devStats := pl.primary.Device().Stats()
 			out, _ := json.Marshal(map[string]any{
 				"bytes_read":    devStats.BytesRead,
 				"bytes_written": devStats.BytesWritten,
 				"segments_live": devStats.SegmentsLive,
-				"cycles_total":  cycles.Snapshot().Total(),
+				"cycles_total":  pl.primary.Cycles().Snapshot().Total(),
 			})
 			fmt.Fprintf(w, "STATS %s\n", out)
 		case "QUIT":
@@ -634,7 +463,6 @@ func serve(conn net.Conn, st *engineState, p *pool) {
 		default:
 			fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
 		}
-		st.opLat[cmd].Record(time.Since(start))
 		if err := w.Flush(); err != nil {
 			return
 		}

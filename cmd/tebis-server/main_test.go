@@ -5,43 +5,82 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tebis/internal/admission"
+	"tebis/internal/client"
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
+	"tebis/internal/obs"
+	"tebis/internal/rdma"
+	"tebis/internal/server"
 	"tebis/internal/storage"
 )
 
-// startPipeServerWith wires the serve loop to an in-memory connection
-// using the given worker pool.
-func startPipeServerWith(t *testing.T, pl *pool) (net.Conn, *lsm.DB) {
+// lineTenant is the stage and admission label of the adapter's client,
+// which runs as the default tenant.
+const lineTenant = "t0"
+
+// startPlaneWith builds the data plane on memory devices, sampling every
+// command, and serves the line protocol on an in-memory connection. adm
+// configures admission control (nil = off); replicated adds the backup0
+// server.
+func startPlaneWith(t *testing.T, adm *admission.Config, replicated bool) (net.Conn, *plane) {
 	t.Helper()
-	dev, err := storage.NewMemDevice(64<<10, 0)
-	if err != nil {
-		t.Fatal(err)
+	newDev := func() *storage.MemDevice {
+		dev, err := storage.NewMemDevice(64<<10, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dev.Close() })
+		return dev
 	}
-	var cycles metrics.Cycles
-	db, err := lsm.New(lsm.Options{Device: dev, L0MaxKeys: 256, NodeSize: 512, MaxLevels: 5, Cycles: &cycles})
-	if err != nil {
-		t.Fatal(err)
+	var backupDev storage.Device
+	if replicated {
+		backupDev = newDev()
 	}
-	client, server := net.Pipe()
-	go serve(server, newEngineState(db, dev, &cycles), pl)
-	t.Cleanup(func() {
-		client.Close()
-		db.Close()
-		dev.Close()
+	tracer := obs.NewTracer(0)
+	stages := metrics.NewStageSet()
+	pl, err := openPlane(server.Config{
+		Name:      "primary",
+		Device:    newDev(),
+		Endpoint:  rdma.NewEndpoint("primary"),
+		Cycles:    &metrics.Cycles{},
+		LSM:       lsm.Options{L0MaxKeys: 256, NodeSize: 512, MaxLevels: 5},
+		Trace:     tracer,
+		Stages:    stages,
+		Admission: adm,
+	}, backupDev, client.Config{
+		Name:            "line-protocol",
+		Trace:           tracer,
+		TraceSampleRate: 1,
+		Stages:          stages,
 	})
-	return client, db
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pl.Close() })
+	return dial(t, pl), pl
 }
 
-// startPipeServer is startPipeServerWith on a sample-everything pool
-// with no admission control.
-func startPipeServer(t *testing.T) (net.Conn, *lsm.DB) {
+// dial opens one more line-protocol connection to pl over an in-memory
+// pipe.
+func dial(t *testing.T, pl *plane) net.Conn {
 	t.Helper()
-	return startPipeServerWith(t, newPool(2, 4, 16, nil, metrics.NewStageSet(), nil, 1))
+	cl, srv := net.Pipe()
+	go serve(srv, pl)
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// startPipeServer is startPlaneWith without admission control or a
+// backup.
+func startPipeServer(t *testing.T) net.Conn {
+	t.Helper()
+	conn, _ := startPlaneWith(t, nil, false)
+	return conn
 }
 
 // roundTripLines sends one line and reads n reply lines.
@@ -62,7 +101,7 @@ func roundTripLines(t *testing.T, conn net.Conn, r *bufio.Reader, line string, n
 }
 
 func TestServeProtocol(t *testing.T) {
-	conn, _ := startPipeServer(t)
+	conn := startPipeServer(t)
 	r := bufio.NewReader(conn)
 
 	if got := roundTripLines(t, conn, r, `PUT "alpha" "value one"`, 1)[0]; got != "OK" {
@@ -91,7 +130,7 @@ func TestServeProtocol(t *testing.T) {
 }
 
 func TestServeScanAndStats(t *testing.T) {
-	conn, _ := startPipeServer(t)
+	conn := startPipeServer(t)
 	r := bufio.NewReader(conn)
 	for i := 0; i < 10; i++ {
 		line := fmt.Sprintf("PUT key%02d val%02d", i, i)
@@ -110,7 +149,7 @@ func TestServeScanAndStats(t *testing.T) {
 }
 
 func TestServeErrors(t *testing.T) {
-	conn, _ := startPipeServer(t)
+	conn := startPipeServer(t)
 	r := bufio.NewReader(conn)
 	for _, bad := range []string{
 		"PUT onlykey",
@@ -130,13 +169,55 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
-// TestServeStageAttribution: a sample-everything pool decomposes
-// commands into dispatch and apply stage records under the binary's
-// single tenant.
+// TestServeConcurrentConnections: connections share the adapter's one
+// client, so their commands contend for its request ring; every
+// connection's writes must come back intact.
+func TestServeConcurrentConnections(t *testing.T) {
+	_, pl := startPlaneWith(t, nil, false)
+	const conns, puts = 4, 150
+	var wg sync.WaitGroup
+	errs := make([]error, conns) // one slot per connection
+	for c := 0; c < conns; c++ {
+		conn := dial(t, pl)
+		wg.Add(1)
+		go func(c int, conn net.Conn) {
+			defer wg.Done()
+			r := bufio.NewReader(conn)
+			// net.Pipe is unbuffered: send a line only after reading the
+			// previous reply.
+			ask := func(line string) string {
+				if _, err := fmt.Fprintln(conn, line); err != nil {
+					return err.Error()
+				}
+				reply, err := r.ReadString('\n')
+				if err != nil {
+					return err.Error()
+				}
+				return strings.TrimSpace(reply)
+			}
+			for i := 0; i < puts; i++ {
+				put := ask(fmt.Sprintf("PUT c%d-k%03d c%d-v%03d", c, i, c, i))
+				get := ask(fmt.Sprintf("GET c%d-k%03d", c, i))
+				if want := fmt.Sprintf(`VALUE "c%d-v%03d"`, c, i); put != "OK" || get != want {
+					errs[c] = fmt.Errorf("conn %d op %d: PUT -> %q, GET -> %q, want OK and %q", c, i, put, get, want)
+					return
+				}
+			}
+		}(c, conn)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestServeStageAttribution: with every command sampled, the server
+// decomposes commands into dispatch and apply stage records under the
+// line client's single tenant.
 func TestServeStageAttribution(t *testing.T) {
-	stages := metrics.NewStageSet()
-	pl := newPool(2, 4, 16, nil, stages, nil, 1)
-	conn, _ := startPipeServerWith(t, pl)
+	conn, pl := startPlaneWith(t, nil, false)
 	r := bufio.NewReader(conn)
 	for i := 0; i < 4; i++ {
 		line := fmt.Sprintf("PUT key%d val%d", i, i)
@@ -145,9 +226,9 @@ func TestServeStageAttribution(t *testing.T) {
 		}
 	}
 	seen := map[string]uint64{}
-	for _, snap := range stages.Snapshot() {
-		if snap.Tenant != poolTenant {
-			t.Fatalf("stage %s under tenant %q, want %q", snap.Stage, snap.Tenant, poolTenant)
+	for _, snap := range pl.primary.Stages().Snapshot() {
+		if snap.Tenant != lineTenant {
+			t.Fatalf("stage %s under tenant %q, want %q", snap.Stage, snap.Tenant, lineTenant)
 		}
 		seen[snap.Stage] = snap.Count
 	}
@@ -157,13 +238,13 @@ func TestServeStageAttribution(t *testing.T) {
 }
 
 // TestServeAdmissionShedsMutations: with the controller escalated to
-// shedding, mutations answer overloaded while reads still serve.
+// shedding, mutations answer overloaded once the client's retries are
+// spent, while reads still serve.
 func TestServeAdmissionShedsMutations(t *testing.T) {
-	ctrl := admission.New(admission.Config{
+	conn, pl := startPlaneWith(t, &admission.Config{
 		MaxThreshold: 1, HighWater: time.Nanosecond, Window: 1,
-	})
-	pl := newPool(2, 4, 16, ctrl, metrics.NewStageSet(), nil, 1)
-	conn, _ := startPipeServerWith(t, pl)
+	}, false)
+	ctrl := pl.primary.Admission()
 	r := bufio.NewReader(conn)
 	if got := roundTripLines(t, conn, r, "PUT survivor val", 1)[0]; got != "OK" {
 		t.Fatalf("PUT -> %q", got)
@@ -182,7 +263,50 @@ func TestServeAdmissionShedsMutations(t *testing.T) {
 	if got := roundTripLines(t, conn, r, "GET survivor", 1)[0]; got != `VALUE "val"` {
 		t.Fatalf("GET under shed -> %q, want the acked value (reads are never refused)", got)
 	}
-	if n := ctrl.Snapshot().Shed[poolTenant]; n != 1 {
-		t.Fatalf("shed counter = %d, want 1", n)
+	// The client retried the shed PUT before giving up: every attempt
+	// was shed exactly once.
+	if n, want := ctrl.Snapshot().Shed[lineTenant], 1+pl.client.OverloadRetries(); n != want {
+		t.Fatalf("shed counter = %d, want %d (1 + %d client retries)", n, want, want-1)
+	}
+}
+
+// TestServeReplicaWiring: with a backup server, line-protocol writes
+// replicate to backup0 — compactions ship index segments to it and its
+// lag drains to zero — reads return every value, and both nodes report
+// ready.
+func TestServeReplicaWiring(t *testing.T) {
+	conn, pl := startPlaneWith(t, nil, true)
+	r := bufio.NewReader(conn)
+	const n = 800 // over three L0 flushes' worth
+	for i := 0; i < n; i++ {
+		line := fmt.Sprintf("PUT key%04d val%04d", i, i)
+		if got := roundTripLines(t, conn, r, line, 1)[0]; got != "OK" {
+			t.Fatalf("PUT %d -> %q", i, got)
+		}
+	}
+	if err := pl.primary.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if snap := pl.primary.ShipStats().Snapshot(); snap.FullSegments+snap.DeltaSegments == 0 {
+		t.Fatalf("no index segments shipped to %s: %+v", backupName, snap)
+	}
+	lags := pl.primary.Lag().Snapshot()
+	if len(lags) != 1 || lags[0].Backup != backupName {
+		t.Fatalf("lag streams = %+v, want one to %s", lags, backupName)
+	}
+	if lags[0].LagOps != 0 || lags[0].LagBytes != 0 {
+		t.Fatalf("replica lag after WaitIdle = %d ops, %d bytes; want 0", lags[0].LagOps, lags[0].LagBytes)
+	}
+	for _, i := range []int{0, n / 2, n - 1} {
+		want := fmt.Sprintf(`VALUE "val%04d"`, i)
+		if got := roundTripLines(t, conn, r, fmt.Sprintf("GET key%04d", i), 1)[0]; got != want {
+			t.Fatalf("GET key%04d -> %q, want %q", i, got, want)
+		}
+	}
+	if err := pl.primary.Ready(); err != nil {
+		t.Fatalf("primary not ready: %v", err)
+	}
+	if err := pl.backup.Ready(); err != nil {
+		t.Fatalf("%s not ready: %v", backupName, err)
 	}
 }

@@ -76,6 +76,9 @@ var (
 	ErrNoServer = errors.New("client: no handle for server")
 	ErrServer   = errors.New("client: server error")
 	ErrClosed   = errors.New("client: closed")
+	// ErrOverloaded reports an op that admission control still shed on
+	// the client's last retry; nothing was applied.
+	ErrOverloaded = errors.New("client: overloaded")
 )
 
 // Client is a Tebis client: it routes operations by cached region map
@@ -267,8 +270,11 @@ func (c *Client) refreshMap(staleVersion uint64) error {
 }
 
 // sendNoop transmits NOOP messages filling the pre-reserved wrap extent
-// and waits for their replies before freeing it (§3.4.2 case b).
-func (sc *serverConn) sendNoop(e *extent) error {
+// and waits for their replies before freeing it (§3.4.2 case b). The
+// NOOPs reply into the caller's own reply slot, which is idle until the
+// real request goes out: allocating another slot here could wait on
+// replies to requests queued behind this very NOOP in the ring.
+func (sc *serverConn) sendNoop(e *extent, replyOff, replySize int) error {
 	residual := e.size
 	if residual < wire.HeaderSize || residual%wire.HeaderSize != 0 {
 		// Impossible: every message is a header multiple, so the
@@ -296,8 +302,6 @@ func (sc *serverConn) sendNoop(e *extent) error {
 				return fmt.Errorf("client: cannot size noop chunk %d", sz)
 			}
 		}
-		replySize := wire.MessageSize(1)
-		replyOff := sc.replyFL.alloc(replySize)
 		hdr := wire.Header{
 			Opcode:      wire.OpNoop,
 			RequestID:   sc.c.reqID.Add(1),
@@ -306,20 +310,15 @@ func (sc *serverConn) sendNoop(e *extent) error {
 		}
 		msg := make([]byte, sz)
 		if _, err := wire.EncodeMessage(msg, hdr, make([]byte, payloadLen)); err != nil {
-			sc.replyFL.free(replyOff, replySize)
 			return err
 		}
 		if err := sc.reqQP.Write(sc.reqRKey, off, msg, hdr.RequestID); err != nil {
-			sc.replyFL.free(replyOff, replySize)
 			return err
 		}
 		if _, err := sc.reqQP.WaitCompletion(); err != nil {
-			sc.replyFL.free(replyOff, replySize)
 			return err
 		}
-		_, _, err := sc.awaitReply(replyOff, hdr.RequestID)
-		sc.replyFL.free(replyOff, replySize)
-		if err != nil {
+		if _, _, err := sc.awaitReply(replyOff, hdr.RequestID); err != nil {
 			return err
 		}
 		off += sz
@@ -350,7 +349,7 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, payload
 		return wire.Header{}, nil, err
 	}
 	if noopE != nil {
-		if err := sc.sendNoop(noopE); err != nil {
+		if err := sc.sendNoop(noopE, replyOff, replySize); err != nil {
 			sc.replyFL.free(replyOff, replySize)
 			return wire.Header{}, nil, err
 		}
@@ -512,11 +511,14 @@ func (c *Client) doAttempts(key []byte, op wire.Op, payload []byte, replySize in
 			}
 			return wire.Header{}, nil, rid, err
 		}
-		if h.Flags&wire.FlagOverload != 0 && attempt < maxAttempts {
+		if h.Flags&wire.FlagOverload != 0 {
 			// Admission control shed the request (DESIGN.md §11): nothing
 			// was applied. Back off — doubling with each rejection so a
 			// shedding server's flash crowd parks instead of hammering
 			// the door — and retry.
+			if attempt == maxAttempts {
+				return h, nil, rid, fmt.Errorf("%w: %s", ErrOverloaded, body)
+			}
 			c.overloadRetries.Add(1)
 			time.Sleep(time.Duration(1<<attempt) * time.Millisecond)
 			continue

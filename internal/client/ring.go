@@ -55,12 +55,12 @@ func (r *ring) reclaimLocked() {
 	}
 }
 
-// alloc reserves size contiguous bytes. When the space at the end of
-// the buffer cannot hold the message, alloc atomically reserves that
-// residual as a NOOP extent (returned as noopE) and wraps, so that the
-// server's sequential rendezvous position stays in lockstep: the caller
-// must transmit a NOOP filling noopE (§3.4.2 case b) and free it once
-// acknowledged.
+// alloc reserves size contiguous bytes, waiting for frees while the
+// ring has no room. When the space at the end of the buffer cannot hold
+// the message, alloc also reserves that residual as a NOOP extent
+// (returned as noopE) and wraps, so that the server's sequential
+// rendezvous position stays in lockstep: the caller must transmit a
+// NOOP filling noopE (§3.4.2 case b) and free it once acknowledged.
 func (r *ring) alloc(size int) (e, noopE *extent, err error) {
 	if size > r.size {
 		return nil, nil, fmt.Errorf("client: request of %d bytes exceeds buffer %d", size, r.size)
@@ -68,50 +68,67 @@ func (r *ring) alloc(size int) (e, noopE *extent, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		r.reclaimLocked()
-		tail, busy := r.tailLocked()
-		switch {
-		case busy && r.head == tail:
-			// Extents occupy the whole ring: wait for replies.
-		case !busy || r.head > tail:
-			// Free space is [head, end) plus [0, tail).
-			if r.head+size <= r.size {
-				e := &extent{off: r.head, size: size}
-				r.head += size
-				if r.head == r.size {
-					r.head = 0
-				}
-				r.extents = append(r.extents, e)
-				return e, noopE, nil
-			}
-			// Residual end space cannot hold the message: reserve it
-			// for a NOOP and wrap (at most once per alloc).
-			if noopE == nil {
-				// The front region a wrap opens is capped by the wrap
-				// position: if the request exceeds it, no amount of
-				// freeing can ever make room, and reserving the NOOP
-				// would leave this caller waiting forever on an
-				// otherwise drained ring.
-				if size > r.head {
-					return nil, nil, fmt.Errorf("client: request of %d bytes cannot fit ahead of wrap position %d", size, r.head)
-				}
-				noopE = &extent{off: r.head, size: r.size - r.head, noop: true}
-				r.head = 0
-				r.extents = append(r.extents, noopE)
-				continue
-			}
-			// Already wrapped once and still no room at the front.
-		default: // head < tail: free space is [head, tail)
-			if r.head+size <= tail {
-				e := &extent{off: r.head, size: size}
-				r.head += size
-				r.extents = append(r.extents, e)
-				return e, noopE, nil
-			}
+		e, noopE, err := r.tryAllocLocked(size)
+		if err != nil || e != nil {
+			return e, noopE, err
 		}
-		// No room: wait for replies to free extents.
 		r.cond.Wait()
 	}
+}
+
+// tryAllocLocked is one non-blocking allocation step: it either places
+// the request (with its NOOP wrap extent, if the placement wraps), fails
+// for good, or returns nil extents and reserves nothing, telling the
+// caller to wait for a free. A wrap and the placement after it happen
+// in the same step: a waiter never holds a reserved NOOP extent, since
+// that extent would head the FIFO and keep every extent freed behind it
+// in the front region from being reclaimed — the waiter would wait on
+// itself. Caller holds r.mu.
+func (r *ring) tryAllocLocked(size int) (e, noopE *extent, err error) {
+	r.reclaimLocked()
+	tail, busy := r.tailLocked()
+	switch {
+	case busy && r.head == tail:
+		// Extents occupy the whole ring.
+		return nil, nil, nil
+	case busy && r.head < tail:
+		// Free space is [head, tail).
+		if r.head+size > tail {
+			return nil, nil, nil
+		}
+		return r.placeLocked(size), nil, nil
+	}
+	// Free space is [head, end) plus [0, tail) — all of [0, head) when
+	// the ring is drained.
+	if r.head+size <= r.size {
+		return r.placeLocked(size), nil, nil
+	}
+	// The front region a wrap opens is capped by the wrap position: a
+	// request that exceeds it can never be placed, however much is
+	// freed.
+	if size > r.head {
+		return nil, nil, fmt.Errorf("client: request of %d bytes cannot fit ahead of wrap position %d", size, r.head)
+	}
+	if busy && size > tail {
+		// The front region is still occupied: wait without reserving.
+		return nil, nil, nil
+	}
+	noopE = &extent{off: r.head, size: r.size - r.head, noop: true}
+	r.extents = append(r.extents, noopE)
+	r.head = 0
+	return r.placeLocked(size), noopE, nil
+}
+
+// placeLocked appends an extent of size bytes at head. The caller has
+// checked that it fits. Caller holds r.mu.
+func (r *ring) placeLocked(size int) *extent {
+	e := &extent{off: r.head, size: size}
+	r.head += size
+	if r.head == r.size {
+		r.head = 0
+	}
+	r.extents = append(r.extents, e)
+	return e
 }
 
 // free marks an extent done and reclaims any freed prefix.

@@ -69,8 +69,8 @@ func TestRingWrapReservesNoop(t *testing.T) {
 func TestRingWrapBlocksUntilFrontFree(t *testing.T) {
 	r := newRing(1024)
 	a, _ := mustAlloc(t, r, 896)
-	// Wrap needed but the front is still occupied by a: alloc reserves
-	// the NOOP extent, then blocks until a frees.
+	// Wrap needed but the front is still occupied by a: alloc blocks
+	// until a frees, without reserving the NOOP extent while it waits.
 	done := make(chan [2]*extent, 1)
 	go func() {
 		e, noopE, _ := r.alloc(256)
@@ -80,6 +80,12 @@ func TestRingWrapBlocksUntilFrontFree(t *testing.T) {
 	case <-done:
 		t.Fatal("alloc succeeded while front occupied")
 	default:
+	}
+	r.mu.Lock()
+	held := len(r.extents)
+	r.mu.Unlock()
+	if held != 1 {
+		t.Fatalf("%d extents live while the wrap waits, want only a", held)
 	}
 	r.free(a)
 	got := <-done

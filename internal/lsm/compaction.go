@@ -12,8 +12,8 @@ import (
 
 // CompactAll forces every populated level down into the next one until
 // only the deepest populated level holds data. Garbage collection uses
-// it to eliminate every stale index entry pointing into the log's head
-// segments before they are trimmed.
+// it to eliminate every stale index entry pointing into victim log
+// segments before they are released.
 //
 // CompactAll runs in exclusive mode: it drains the scheduler's in-flight
 // jobs first, then owns the whole level range, so no background job

@@ -55,7 +55,6 @@ func (d *durabilityTracker) OnAppend(res vlog.AppendResult, _ *obs.ReqTrace) {
 func (d *durabilityTracker) OnCompactionStart(CompactionJob)                    {}
 func (d *durabilityTracker) OnIndexSegment(CompactionJob, btree.EmittedSegment) {}
 func (d *durabilityTracker) OnCompactionDone(CompactionResult)                  {}
-func (d *durabilityTracker) OnTrim(storage.Offset)                              {}
 
 // TestEngineCrashPoints power-cuts a file-backed engine at 25 randomized
 // crash points. Each point tears device write #k — which, with

@@ -5,96 +5,59 @@ import (
 	"testing"
 )
 
-func TestGCLogReclaimsOverwrittenSpace(t *testing.T) {
-	db, dev := newTestDB(t)
-	// Write the same keys repeatedly so old log segments become garbage.
-	for round := 0; round < 20; round++ {
-		for i := 0; i < 200; i++ {
-			k := fmt.Sprintf("key%04d", i)
-			if err := db.Put([]byte(k), []byte(fmt.Sprintf("round-%d", round))); err != nil {
+func TestGCOnceMovesLiveRecords(t *testing.T) {
+	db := gcTestDB(t)
+	// Every tenth key is written once and never again; the rest are
+	// overwritten each round. The early segments turn mostly dead but
+	// still hold the keepers' only copies, which GC must move, not lose.
+	const keys, rounds = 120, 8
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < keys; i++ {
+			if i%10 == 0 && r > 0 {
+				continue
+			}
+			k := []byte(fmt.Sprintf("key-%04d", i))
+			v := []byte(fmt.Sprintf("val-%02d-%04d-0123456789abcdef", r, i))
+			if err := db.Put(k, v); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	segsBefore := len(db.Log().Segments())
-	liveBefore := dev.Stats().SegmentsLive
-	if segsBefore < 4 {
-		t.Skipf("only %d log segments; nothing to GC", segsBefore)
-	}
-
-	stats, err := db.GCLog(segsBefore / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SegmentsFreed == 0 {
-		t.Fatalf("GC freed nothing: %+v", stats)
-	}
-	if stats.RecordsDropped == 0 {
-		t.Fatalf("GC dropped no stale records despite heavy overwrites: %+v", stats)
-	}
-	if got := dev.Stats().SegmentsLive; got >= liveBefore {
-		// Moves may allocate new tail segments, but heavy overwrite
-		// means most scanned data was stale: net space must shrink.
-		t.Fatalf("live segments %d >= %d before GC", got, liveBefore)
-	}
-
-	// Every key still readable with its latest value.
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("key%04d", i)
-		v, found, err := db.Get([]byte(k))
-		if err != nil || !found || string(v) != "round-19" {
-			t.Fatalf("Get(%s) after GC = %q, %v, %v", k, v, found, err)
-		}
-	}
-}
-
-func TestGCLogMovesLiveRecords(t *testing.T) {
-	db, _ := newTestDB(t)
-	// Unique keys: everything in the head segments is live and must be
-	// moved, not lost.
-	const n = 1500
-	for i := 0; i < n; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("payload-0123456789")); err != nil {
+		if err := db.CompactAll(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	segs := len(db.Log().Segments())
-	if segs < 2 {
-		t.Skip("not enough sealed segments")
-	}
-	stats, err := db.GCLog(2)
+	res, err := db.GCOnce(GCPolicy{MinDeadRatio: 0.5, MaxSegments: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.RecordsMoved == 0 {
-		t.Fatalf("no live records moved: %+v", stats)
+	if res.SegmentsFreed == 0 || res.RecordsMoved == 0 {
+		t.Fatalf("GC did not relocate live records and free their segments: %+v", res)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key%05d", i)
+	for i := 0; i < keys; i++ {
+		round := rounds - 1
+		if i%10 == 0 {
+			round = 0
+		}
+		k := fmt.Sprintf("key-%04d", i)
+		want := fmt.Sprintf("val-%02d-%04d-0123456789abcdef", round, i)
 		v, found, err := db.Get([]byte(k))
-		if err != nil || !found || string(v) != "payload-0123456789" {
-			t.Fatalf("Get(%s) after GC = %q, %v, %v", k, v, found, err)
+		if err != nil || !found || string(v) != want {
+			t.Fatalf("Get(%s) after GC = %q, %v, %v; want %q", k, v, found, err, want)
 		}
 	}
 }
 
-func TestGCLogOnEmptyLog(t *testing.T) {
-	db, _ := newTestDB(t)
-	stats, err := db.GCLog(4)
+func TestGCOnceOnEmptyLog(t *testing.T) {
+	db := gcTestDB(t)
+	res, err := db.GCOnce(GCPolicy{MaxSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SegmentsScanned != 0 || stats.SegmentsFreed != 0 {
-		t.Fatalf("GC on empty log did work: %+v", stats)
+	if len(res.Victims) != 0 || res.SegmentsFreed != 0 || res.RecordsMoved != 0 {
+		t.Fatalf("GC on empty log did work: %+v", res)
 	}
 }
 
@@ -112,15 +75,19 @@ func TestGCNotifiesListener(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.GCLog(2); err != nil {
+	res, err := db.GCOnce(GCPolicy{MaxSegments: 64})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.SegmentsFreed == 0 {
+		t.Fatalf("GC freed nothing: %+v", res)
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.trims != 1 {
-		t.Fatalf("OnTrim fired %d times", rec.trims)
+	if fmt.Sprint(rec.released) != fmt.Sprint(res.Victims) {
+		t.Fatalf("OnRelease got %v, want the pass's victims %v", rec.released, res.Victims)
 	}
 }

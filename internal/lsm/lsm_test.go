@@ -338,7 +338,7 @@ type recordingListener struct {
 	starts   [][2]int
 	segments []btree.EmittedSegment
 	dones    []CompactionResult
-	trims    int
+	released []storage.SegmentID
 }
 
 func (r *recordingListener) OnAppend(res vlog.AppendResult, _ *obs.ReqTrace) {
@@ -368,9 +368,9 @@ func (r *recordingListener) OnCompactionDone(res CompactionResult) {
 	r.mu.Unlock()
 }
 
-func (r *recordingListener) OnTrim(keep storage.Offset) {
+func (r *recordingListener) OnRelease(segs []storage.SegmentID) {
 	r.mu.Lock()
-	r.trims++
+	r.released = append(r.released, segs...)
 	r.mu.Unlock()
 }
 

@@ -98,11 +98,6 @@ type Listener interface {
 	// OnCompactionDone fires after the new level is installed, carrying
 	// the new root (primary device space) for backup root translation.
 	OnCompactionDone(res CompactionResult)
-	// OnTrim fires after a GC pass trimmed the value log up to (but
-	// excluding) keep; backups perform the same trim without moving any
-	// data (§4: "the primary informs backups for this operation and
-	// they only perform the trim").
-	OnTrim(keep storage.Offset)
 }
 
 // SealListener is an optional Listener extension: OnSeal fires, under
@@ -116,8 +111,9 @@ type SealListener interface {
 }
 
 // ReleaseListener is an optional Listener extension: OnRelease fires
-// after GC freed victim segments anywhere in the log (the cost-based
-// counterpart of OnTrim's prefix reclaim). segs are primary-space
+// after GC freed victim segments anywhere in the log — backups free
+// space without moving any data (§4: "the primary informs backups for
+// this operation and they only perform the trim"). segs are primary-space
 // segment IDs; backups translate them through their log maps and free
 // the local copies, keeping the replicas byte-convergent. Backups skip
 // unknown segments, so delivery is idempotent under crash-retry.

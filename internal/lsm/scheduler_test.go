@@ -142,7 +142,6 @@ func (g *gateListener) OnCompactionStart(job CompactionJob) {
 }
 func (g *gateListener) OnIndexSegment(CompactionJob, btree.EmittedSegment) {}
 func (g *gateListener) OnCompactionDone(CompactionResult)                  {}
-func (g *gateListener) OnTrim(storage.Offset)                              {}
 
 // runStallWorkload drives the same write pattern against an engine with
 // the given scheduler knobs while an L1→L2 compaction is pinned in
@@ -373,8 +372,6 @@ func (r *jobRecorder) OnCompactionDone(res CompactionResult) {
 	}
 	r.done[res.JobID] = true
 }
-
-func (r *jobRecorder) OnTrim(storage.Offset) {}
 
 // TestConcurrentWorkersPreserveData runs the scheduler with two workers
 // and a deep frozen queue under a heavy overwrite workload and verifies

@@ -697,6 +697,12 @@ func (m *Master) refillBackup(r region.Region, avoid string) error {
 		if !ok {
 			return fmt.Errorf("master: %s lost primary of region %d", r.Primary, r.ID)
 		}
+		// Drain compactions before attaching, as migration does: a job
+		// already running would ship segments for a start the new
+		// backup never saw, and its install would miss Sync's snapshot.
+		if err := p.DB().WaitIdle(); err != nil {
+			return err
+		}
 		replica.Attach(p, b)
 		if _, err := p.Sync(b); err != nil {
 			return err

@@ -389,12 +389,6 @@ func (b *Backup) handle(h wire.Header, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return b.handleCompactionDone(h, req)
-	case wire.OpTrimLog:
-		req, err := wire.DecodeTrimLog(payload)
-		if err != nil {
-			return nil, err
-		}
-		return b.handleTrimLog(h, req)
 	case wire.OpSyncTail:
 		req, err := wire.DecodeFlushTail(payload)
 		if err != nil {
@@ -706,29 +700,6 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 		delete(b.ships, req.JobID)
 	}
 	return ackMessage(h, wire.OpCompactionDoneAck), nil
-}
-
-// handleTrimLog performs the backup side of GC: translate the keep
-// offset into local space through the log map and trim the replicated
-// log (§4 — no data movement at backups).
-func (b *Backup) handleTrimLog(h wire.Header, req wire.TrimLog) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	keepPrimary := storage.Offset(req.Keep)
-	local, ok := b.logMap.Lookup(b.geo.Segment(keepPrimary))
-	if ok {
-		if _, err := b.log.Trim(b.geo.Rebase(keepPrimary, local)); err != nil {
-			return nil, err
-		}
-	}
-	// If the keep segment was never flushed here (it is the primary's
-	// tail), every sealed local segment is trimmable.
-	if !ok {
-		if _, err := b.log.Trim(b.geo.Pack(b.log.TailSegment(), 0)); err != nil {
-			return nil, err
-		}
-	}
-	return ackMessage(h, wire.OpTrimLogAck), nil
 }
 
 // handleGCRelease performs the backup side of a cost-based GC reclaim:

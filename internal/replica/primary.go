@@ -785,24 +785,6 @@ func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg bt
 	return p.rpcLocked(h, wire.OpIndexSegment, payload)
 }
 
-// OnTrim propagates a GC trim: backups release the same log prefix
-// without moving any data (§4).
-func (p *Primary) OnTrim(keep storage.Offset) {
-	if p.cfg.Mode == NoReplication {
-		return
-	}
-	payload := wire.TrimLog{
-		RegionID: uint16(p.cfg.RegionID),
-		Keep:     uint64(keep),
-	}.Encode(nil)
-	for _, h := range p.handles() {
-		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
-		if err := p.rpc(h, wire.OpTrimLog, payload); err != nil {
-			p.evict(h, err)
-		}
-	}
-}
-
 // OnSeal reacts to a GC relocation commit point: the engine force-
 // sealed a partial tail holding relocated records, and every backup
 // must persist its mirrored log buffer before any victim segment can
@@ -826,8 +808,8 @@ func (p *Primary) OnSeal(sealed *vlog.Sealed) {
 }
 
 // OnRelease propagates a cost-based GC reclaim: backups free their
-// local copies of the victim segments and drop the log-map names, the
-// mid-log counterpart of OnTrim's prefix trim (DESIGN.md §12). The
+// local copies of the victim segments and drop the log-map names
+// (DESIGN.md §12; §4's split: the primary moves, backups only free). The
 // primary has already relocated, sealed, and compacted, so no shipped
 // index entry references the victims anymore; a backup that misses the
 // message (crash, eviction) merely leaks the segments until its next

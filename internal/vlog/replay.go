@@ -28,7 +28,7 @@ type ReplayFunc func(off storage.Offset, pair kv.Pair, tombstone bool) bool
 // watermark (§3.5).
 func (l *Log) Replay(from storage.Offset, fn ReplayFunc) error {
 	l.mu.Lock()
-	segs := append([]storage.SegmentID(nil), l.segs[l.head:]...)
+	segs := append([]storage.SegmentID(nil), l.segs...)
 	tailSeg := l.tailSeg
 	tail := append([]byte(nil), l.tailBuf[:l.tailLen]...)
 	l.mu.Unlock()

@@ -194,6 +194,26 @@ func TestReplayEarlyStop(t *testing.T) {
 	}
 }
 
+// releasePrefix releases every sealed segment older than keep's — the
+// prefix trim a GC pass over the oldest segments performs — and returns
+// how many segments it freed.
+func releasePrefix(t *testing.T, l *Log, keep storage.Offset) int {
+	t.Helper()
+	keepSeg := l.Geometry().Segment(keep)
+	var prefix []storage.SegmentID
+	for _, seg := range l.Segments() {
+		if seg == keepSeg {
+			break
+		}
+		prefix = append(prefix, seg)
+	}
+	freed, err := l.Release(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return freed
+}
+
 func TestTrimFreesSegments(t *testing.T) {
 	l, dev := newTestLog(t, 512)
 	var offs []storage.Offset
@@ -205,10 +225,7 @@ func TestTrimFreesSegments(t *testing.T) {
 		offs = append(offs, res.Off)
 	}
 	before := dev.Stats().SegmentsLive
-	freed, err := l.Trim(offs[70])
-	if err != nil {
-		t.Fatal(err)
-	}
+	freed := releasePrefix(t, l, offs[70])
 	if freed == 0 {
 		t.Fatal("expected trim to free segments")
 	}
@@ -309,11 +326,9 @@ func TestReplayFromTrimmedSegmentReturnsErrTrimmed(t *testing.T) {
 		}
 		offs = append(offs, res.Off)
 	}
-	// Trim everything before record 70's segment; record 10 now lives
-	// in a freed segment.
-	if _, err := l.Trim(offs[70]); err != nil {
-		t.Fatal(err)
-	}
+	// Release everything before record 70's segment; record 10 now
+	// lives in a freed segment.
+	releasePrefix(t, l, offs[70])
 
 	n := 0
 	err := l.Replay(offs[10], func(off storage.Offset, pair kv.Pair, tomb bool) bool {
@@ -327,7 +342,7 @@ func TestReplayFromTrimmedSegmentReturnsErrTrimmed(t *testing.T) {
 		t.Fatalf("Replay invoked fn %d times despite ErrTrimmed", n)
 	}
 
-	// Replaying from a live offset still works after the trim.
+	// Replaying from a live offset still works after the release.
 	n = 0
 	if err := l.Replay(offs[70], func(off storage.Offset, pair kv.Pair, tomb bool) bool {
 		n++

@@ -60,8 +60,10 @@ const (
 	OpCompactionDoneAck
 	OpGetBuffer
 	OpGetBufferReply
-	OpTrimLog
-	OpTrimLogAck
+	// Two retired opcodes (the stop-the-world GC's prefix trim and its
+	// ack) stay reserved so every later op keeps its wire value.
+	_
+	_
 	OpSyncTail
 	OpSyncTailAck
 
@@ -79,8 +81,7 @@ const (
 	// Value-log GC plane (DESIGN.md §12). After a cost-based GC pass
 	// relocated a victim segment's live records and compacted every
 	// stale index pointer away, the primary tells backups to free their
-	// local copies of the victims (OpGCRelease) — the mid-log
-	// counterpart of OpTrimLog's prefix trim.
+	// local copies of the victims (OpGCRelease).
 	OpGCRelease
 	OpGCReleaseAck
 )
@@ -92,13 +93,13 @@ func (o Op) String() string {
 		"put-reply", "delete-reply", "get-reply", "scan-reply", "noop-reply",
 		"flush-tail", "flush-tail-ack", "index-segment", "index-segment-ack",
 		"compaction-start", "compaction-done", "compaction-done-ack",
-		"get-buffer", "get-buffer-reply", "trim-log", "trim-log-ack",
+		"get-buffer", "get-buffer-reply", "", "",
 		"sync-tail", "sync-tail-ack",
 		"scrub", "scrub-reply", "fetch-segment", "fetch-segment-reply",
 		"repair-segment", "repair-segment-ack",
 		"gc-release", "gc-release-ack",
 	}
-	if int(o) < len(names) {
+	if int(o) < len(names) && names[o] != "" {
 		return names[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))

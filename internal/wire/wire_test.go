@@ -253,7 +253,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	for o := OpInvalid; o <= OpSyncTailAck; o++ {
+	for o := OpInvalid; o <= OpGCReleaseAck; o++ {
 		if o.String() == "" {
 			t.Fatalf("op %d has empty name", o)
 		}
@@ -289,7 +289,6 @@ func TestDecodeRobustnessRandomBytes(t *testing.T) {
 		_, _ = DecodeCompactionStart(buf)
 		_, _ = DecodeIndexSegment(buf)
 		_, _ = DecodeCompactionDone(buf)
-		_, _ = DecodeTrimLog(buf)
 	}
 }
 
@@ -381,10 +380,29 @@ func TestTraceIDFrameCompat(t *testing.T) {
 	}
 }
 
-func TestTrimLogRoundTrip(t *testing.T) {
-	got, err := DecodeTrimLog(TrimLog{RegionID: 7, Keep: 1 << 45}.Encode(nil))
-	if err != nil || got.RegionID != 7 || got.Keep != 1<<45 {
-		t.Fatalf("trim = %+v %v", got, err)
+// TestOpValuesPinned pins the wire value of every op after the two
+// reserved slots: a peer built before the retired prefix-trim ops were
+// removed must still decode the same ops.
+func TestOpValuesPinned(t *testing.T) {
+	for _, c := range []struct {
+		op   Op
+		want uint8
+	}{
+		{OpGetBufferReply, 20},
+		{OpSyncTail, 23},
+		{OpSyncTailAck, 24},
+		{OpScrub, 25},
+		{OpScrubReply, 26},
+		{OpFetchSegment, 27},
+		{OpFetchSegmentReply, 28},
+		{OpRepairSegment, 29},
+		{OpRepairSegmentAck, 30},
+		{OpGCRelease, 31},
+		{OpGCReleaseAck, 32},
+	} {
+		if uint8(c.op) != c.want {
+			t.Errorf("%s = %d, want %d", c.op, uint8(c.op), c.want)
+		}
 	}
 }
 

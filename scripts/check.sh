@@ -20,8 +20,10 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# -timeout is about 3x the slowest package's -race time (internal/bench,
+# ~65s on a 2-core host): a hang fails fast instead of after 10 minutes.
 echo "== go test -race"
-go test -race ./...
+go test -race -timeout 200s ./...
 
 # The full -race run above already includes the failure-handling suite;
 # this focused pass re-runs it by name so a gate log shows explicitly
