@@ -7,8 +7,8 @@ all: build
 build:
 	$(GO) build ./...
 
-# The -timeout values are about 3x the slowest package's measured time
-# (internal/bench: ~6s plain, ~65s under -race on a 2-core host), so a
+# The -timeout values are 2.5-4x the slowest package's measured time
+# (internal/bench: ~5s plain, ~75s under -race on a 2-core host), so a
 # hung test fails in seconds instead of after go test's 10-minute default.
 test:
 	$(GO) test -timeout 20s ./...
@@ -70,20 +70,22 @@ ship-smoke:
 		./internal/shipcodec ./internal/wire ./internal/replica ./internal/cluster
 
 # tail-smoke runs the two-tenant flash-burst tail experiment at quick
-# scale and gates on the ISSUE acceptance bars: zero lost acks,
-# observability overhead <= 5% of offered load, adaptive-admission
-# burst p99 <= 3x the pre-burst baseline, resolvable stage exemplars,
-# and a BENCH_fig11_tail.csv covering >= 3 scenarios and both tenants.
+# scale under tebis-bench -gate: zero lost acks, observability overhead
+# <= 5% of offered load, adaptive-admission burst p99 <= 3x the
+# pre-burst baseline, resolvable stage exemplars, and a
+# BENCH_fig11_tail.csv covering the scenarios and both tenants. The
+# report directory is kept when a gate fails.
 tail-smoke:
-	sh scripts/tailsmoke.sh
+	dir=$$(mktemp -d) && $(GO) run ./cmd/tebis-bench -quick -gate -out "$$dir" -experiment tail && rm -rf "$$dir"
 
 # lag-smoke runs the replication-plane health experiment at quick scale
-# and gates on the ISSUE acceptance bars: under an injected 50ms-delayed
-# backup the lag/staleness gauges rise then drain back to ~0, with zero
-# lost acks, zero wrong reads, zero evictions, and the lag tracker
-# costing <= 5% of offered-load throughput.
+# under tebis-bench -gate: with an injected 50ms-delayed backup the
+# lag/staleness gauges rise then drain back to ~0, with zero lost acks,
+# zero wrong reads, zero evictions, and the lag tracker costing <= 5%
+# of offered-load throughput. The report directory is kept when a gate
+# fails.
 lag-smoke:
-	sh scripts/lagsmoke.sh
+	dir=$$(mktemp -d) && $(GO) run ./cmd/tebis-bench -quick -gate -out "$$dir" -experiment lag && rm -rf "$$dir"
 
 # gc-smoke runs the online value-log GC suites under the race detector:
 # victim selection and the space ledger, crash/torn-seal injection at

@@ -107,7 +107,7 @@ func TestBuildIndexRLUsesSmallerL0(t *testing.T) {
 
 func TestRunExperimentTable2(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunExperiment(ExpTable2, tinyScale, &buf); err != nil {
+	if err := RunExperiment(ExpTable2, tinyScale, t.TempDir(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -119,15 +119,12 @@ func TestRunExperimentTable2(t *testing.T) {
 }
 
 func TestRunExperimentCompaction(t *testing.T) {
-	old := CompactionJSONPath
-	CompactionJSONPath = filepath.Join(t.TempDir(), "BENCH_compaction.json")
-	defer func() { CompactionJSONPath = old }()
-
+	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := RunExperiment(ExpCompaction, tinyScale, &buf); err != nil {
+	if err := RunExperiment(ExpCompaction, tinyScale, dir, &buf); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(CompactionJSONPath)
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_compaction.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +135,7 @@ func TestRunExperimentCompaction(t *testing.T) {
 	if rep.Records != tinyScale.Records {
 		t.Fatalf("records = %d, want %d", rep.Records, tinyScale.Records)
 	}
-	for _, m := range []CompactionModeResult{rep.Serial, rep.Pipelined} {
+	for _, m := range []EngineModeResult{rep.Serial, rep.Pipelined} {
 		if m.Jobs == 0 || m.SegmentsShipped == 0 || m.KOpsPerSec <= 0 {
 			t.Fatalf("mode %q measured nothing: %+v", m.Mode, m)
 		}
@@ -156,15 +153,12 @@ func TestRunExperimentCompaction(t *testing.T) {
 }
 
 func TestRunExperimentObservability(t *testing.T) {
-	old := ObservabilityJSONPath
-	ObservabilityJSONPath = filepath.Join(t.TempDir(), "BENCH_observability.json")
-	defer func() { ObservabilityJSONPath = old }()
-
+	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := RunExperiment(ExpObservability, tinyScale, &buf); err != nil {
+	if err := RunExperiment(ExpObservability, tinyScale, dir, &buf); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(ObservabilityJSONPath)
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_observability.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +169,7 @@ func TestRunExperimentObservability(t *testing.T) {
 	if rep.Records != tinyScale.Records {
 		t.Fatalf("records = %d, want %d", rep.Records, tinyScale.Records)
 	}
-	for _, m := range []ObservabilityModeResult{rep.Off, rep.On} {
+	for _, m := range []EngineModeResult{rep.Off, rep.On} {
 		if m.NsPerOp <= 0 || m.KOpsPerSec <= 0 || m.PacedKOpsPerSec <= 0 || m.Jobs == 0 {
 			t.Fatalf("mode (instrumented=%v) measured nothing: %+v", m.Instrumented, m)
 		}
@@ -197,15 +191,12 @@ func TestRunExperimentObservability(t *testing.T) {
 }
 
 func TestRunExperimentIntegrity(t *testing.T) {
-	old := IntegrityJSONPath
-	IntegrityJSONPath = filepath.Join(t.TempDir(), "BENCH_integrity.json")
-	defer func() { IntegrityJSONPath = old }()
-
+	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := RunExperiment(ExpIntegrity, tinyScale, &buf); err != nil {
+	if err := RunExperiment(ExpIntegrity, tinyScale, dir, &buf); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(IntegrityJSONPath)
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_integrity.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +207,7 @@ func TestRunExperimentIntegrity(t *testing.T) {
 	if rep.Records != tinyScale.Records {
 		t.Fatalf("records = %d, want %d", rep.Records, tinyScale.Records)
 	}
-	for _, m := range []IntegrityModeResult{rep.Raw, rep.Framed} {
+	for _, m := range []EngineModeResult{rep.Raw, rep.Framed} {
 		if m.NsPerOp <= 0 || m.KOpsPerSec <= 0 || m.PacedKOpsPerSec <= 0 ||
 			m.GetNsPerOp <= 0 || m.Jobs == 0 {
 			t.Fatalf("mode (framed=%v) measured nothing: %+v", m.Framed, m)
@@ -247,17 +238,12 @@ func TestSetupStringsAndModes(t *testing.T) {
 }
 
 func TestRunExperimentFigures(t *testing.T) {
-	oldJSON, oldCSV := FiguresJSONPath, FiguresCSVDir
 	dir := t.TempDir()
-	FiguresJSONPath = filepath.Join(dir, "BENCH_figures.json")
-	FiguresCSVDir = dir
-	defer func() { FiguresJSONPath, FiguresCSVDir = oldJSON, oldCSV }()
-
 	var buf bytes.Buffer
-	if err := RunExperiment(ExpFigures, tinyScale, &buf); err != nil {
+	if err := RunExperiment(ExpFigures, tinyScale, dir, &buf); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(FiguresJSONPath)
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_figures.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

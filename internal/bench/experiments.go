@@ -94,8 +94,9 @@ var twoWaySetups = []Setup{BuildIndex, SendIndex, NoReplication}
 var threeWaySetups = []Setup{BuildIndexRL, BuildIndex, SendIndex, NoReplication}
 
 // RunExperiment executes one artifact and writes the paper-shaped rows
-// to w.
-func RunExperiment(exp Experiment, sc Scale, w io.Writer) error {
+// to w. Experiments that emit a JSON report and CSVs write them to dir
+// as BENCH_<exp>.json and BENCH_fig*.csv.
+func RunExperiment(exp Experiment, sc Scale, dir string, w io.Writer) error {
 	switch exp {
 	case ExpTable2:
 		return runTable2(sc, w)
@@ -120,19 +121,19 @@ func RunExperiment(exp Experiment, sc Scale, w io.Writer) error {
 	case ExpSec55:
 		return runSec55(sc, w)
 	case ExpCompaction:
-		return runCompaction(sc, w)
+		return runCompaction(sc, dir, w)
 	case ExpObservability:
-		return runObservability(sc, w)
+		return runObservability(sc, dir, w)
 	case ExpIntegrity:
-		return runIntegrity(sc, w)
+		return runIntegrity(sc, dir, w)
 	case ExpFigures:
-		return runFigures(sc, w)
+		return runFigures(sc, dir, w)
 	case ExpTail:
-		return runTail(sc, w)
+		return runTail(sc, dir, w)
 	case ExpGC:
-		return runGC(sc, w)
+		return runGC(sc, dir, w)
 	case ExpLag:
-		return runLag(sc, w)
+		return runLag(sc, dir, w)
 	}
 	return fmt.Errorf("bench: unknown experiment %q", exp)
 }

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -18,14 +15,6 @@ import (
 	"tebis/internal/obs"
 	"tebis/internal/ycsb"
 )
-
-// FiguresJSONPath is where the figures experiment writes its
-// machine-readable report; empty disables the file.
-var FiguresJSONPath = "BENCH_figures.json"
-
-// FiguresCSVDir is where the figures experiment writes its per-figure
-// CSVs; empty disables them.
-var FiguresCSVDir = "."
 
 // figureSampleTicks is the minimum time-series density per measured
 // run. The sampler is ticked from the op stream (not a wall-clock
@@ -395,7 +384,7 @@ func (fc *figCluster) phase(wl ycsb.Workload) (FigureRun, error) {
 // each phase so throughput, amplification, and network traffic are
 // plotted over time, and it runs with request tracing at the default
 // sample rate so the figures reflect the instrumented system.
-func runFigures(sc Scale, w io.Writer) error {
+func runFigures(sc Scale, dir string, w io.Writer) error {
 	p := params(SendIndex, ycsb.LoadA, ycsb.MixSD, sc, 1)
 	p.applyDefaults()
 
@@ -473,43 +462,25 @@ func runFigures(sc Scale, w io.Writer) error {
 		fig10.NetAmpRatio, fig10.BaselineNetAmpRatio, fig10.ThroughputDeltaPercent)
 	fmt.Fprintf(w, "trace spans recorded: %d\n", report.TraceSpans)
 
-	if FiguresCSVDir != "" {
-		csvs, err := writeFigureCSVs(FiguresCSVDir, &report)
-		if err != nil {
-			return err
-		}
-		report.CSVs = csvs
-		for _, f := range csvs {
-			fmt.Fprintf(w, "wrote %s\n", f)
-		}
+	csvs, err := writeFigureCSVs(w, dir, &report)
+	if err != nil {
+		return err
 	}
-	if FiguresJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(FiguresJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", FiguresJSONPath)
-	}
-	return nil
+	report.CSVs = csvs
+	return writeReport(w, dir, ExpFigures, report)
 }
 
 // writeFigureCSVs renders the per-figure CSVs next to the JSON report:
 // Fig. 6 throughput-over-time, Fig. 7 amplification + network bytes
 // over time, Fig. 8 latency percentiles, Fig. 10 ship-traffic
 // comparison against the uncompressed baseline.
-func writeFigureCSVs(dir string, report *FiguresReport) ([]string, error) {
+func writeFigureCSVs(w io.Writer, dir string, report *FiguresReport) ([]string, error) {
 	runs := report.Runs
 	var files []string
 	write := func(name, content string) error {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return err
-		}
+		path, err := writeArtifact(w, dir, name, []byte(content))
 		files = append(files, path)
-		return nil
+		return err
 	}
 
 	var fig6 strings.Builder

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -14,15 +12,6 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/storage"
 )
-
-// GCJSONPath is where the gc experiment writes its machine-readable
-// report; empty disables the file.
-var GCJSONPath = "BENCH_gc.json"
-
-// GCCSVDir is where the gc experiment writes BENCH_fig12_space.csv
-// (log occupancy over the overwrite rounds, GC off vs on); empty
-// disables the file.
-var GCCSVDir = "."
 
 // gcRounds is the overwrite factor: every key is rewritten this many
 // times, so without GC the log holds ~gcRounds copies per key.
@@ -242,26 +231,9 @@ func runGCMode(sc Scale, gcOn bool, opsPerSec float64, series bool) (GCModeResul
 	return res, nil
 }
 
-// medianGCMode reruns one configuration and returns the
-// median-throughput trial, damping single-core scheduler noise.
-func medianGCMode(sc Scale, gcOn bool, opsPerSec float64) (GCModeResult, error) {
-	trials := make([]GCModeResult, 0, 3)
-	for i := 0; i < 3; i++ {
-		r, err := runGCMode(sc, gcOn, opsPerSec, false)
-		if err != nil {
-			return GCModeResult{}, err
-		}
-		trials = append(trials, r)
-	}
-	sort.Slice(trials, func(i, j int) bool {
-		return trials[i].KOpsPerSec < trials[j].KOpsPerSec
-	})
-	return trials[1], nil
-}
-
 // runGC measures the overwrite-endurance acceptance: space held by the
 // value log with GC off vs on, and GC's cost at a fixed offered load.
-func runGC(sc Scale, w io.Writer) error {
+func runGC(sc Scale, dir string, w io.Writer) error {
 	// Unpaced runs carry the space time series and steady-state report.
 	off, err := runGCMode(sc, false, 0, true)
 	if err != nil {
@@ -273,17 +245,15 @@ func runGC(sc Scale, w io.Writer) error {
 	}
 
 	// Offered-load comparison at half the unpaced GC-off rate, like the
-	// other overhead gates (an unthrottled in-memory run has no slack
-	// for maintenance work, which no production deployment matches).
-	rate := off.KOpsPerSec * 1000 * 0.5
-	pacedOff, err := medianGCMode(sc, false, rate)
+	// other overhead gates.
+	paced, err := runAB(3, pacedRate(off.KOpsPerSec), func(gcOn bool, opsPerSec float64) (GCModeResult, error) {
+		return runGCMode(sc, gcOn, opsPerSec, false)
+	})
 	if err != nil {
 		return err
 	}
-	pacedOn, err := medianGCMode(sc, true, rate)
-	if err != nil {
-		return err
-	}
+	kops := func(r GCModeResult) float64 { return r.KOpsPerSec }
+	pacedOff, pacedOn := paced.median(false, kops), paced.median(true, kops)
 	off.PacedKOpsPerSec = pacedOff.KOpsPerSec
 	off.OfferedKopsPerSec = pacedOff.OfferedKopsPerSec
 	on.PacedKOpsPerSec = pacedOn.KOpsPerSec
@@ -294,20 +264,14 @@ func runGC(sc Scale, w io.Writer) error {
 		keys = 200
 	}
 	report := GCReport{
-		Keys:      keys,
-		Rounds:    gcRounds,
-		ValueSize: gcValueSize,
-		L0MaxKeys: sc.L0MaxKeys,
-		Off:       off,
-		On:        on,
-		SpaceAmp:  on.FinalSpaceAmp,
-	}
-	if pacedOff.KOpsPerSec > 0 {
-		loss := (pacedOff.KOpsPerSec - pacedOn.KOpsPerSec) / pacedOff.KOpsPerSec * 100
-		if loss < 0 {
-			loss = 0
-		}
-		report.OverheadOfferedLoadPercent = loss
+		Keys:                       keys,
+		Rounds:                     gcRounds,
+		ValueSize:                  gcValueSize,
+		L0MaxKeys:                  sc.L0MaxKeys,
+		Off:                        off,
+		On:                         on,
+		SpaceAmp:                   on.FinalSpaceAmp,
+		OverheadOfferedLoadPercent: paced.overhead(kops, true),
 	}
 
 	fmt.Fprintf(w, "Online GC endurance: %dx overwrite of %d keys (%d B values, L0=%d keys)\n",
@@ -315,12 +279,8 @@ func runGC(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "%-8s %10s %12s %12s %10s %10s %8s\n",
 		"Config", "ns/op", "Kops/s", "paced Kop/s", "live MB", "dead MB", "amp")
 	for _, r := range []GCModeResult{off, on} {
-		name := "gc-off"
-		if r.GCEnabled {
-			name = "gc-on"
-		}
 		fmt.Fprintf(w, "%-8s %10.0f %12.1f %12.1f %10.2f %10.2f %8.2f\n",
-			name, r.NsPerOp, r.KOpsPerSec, r.PacedKOpsPerSec,
+			r.name(), r.NsPerOp, r.KOpsPerSec, r.PacedKOpsPerSec,
 			float64(r.LiveBytes)/1e6, float64(r.DeadBytes)/1e6, r.FinalSpaceAmp)
 	}
 	fmt.Fprintf(w, "gc-on: %d passes, %d segments freed, %d records moved, %.2f MB reclaimed\n",
@@ -328,34 +288,44 @@ func runGC(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "space amplification %.2fx (budget 2x), offered-load cost %.2f%% (budget 10%%)\n",
 		report.SpaceAmp, report.OverheadOfferedLoadPercent)
 
-	if GCCSVDir != "" {
-		var csv strings.Builder
-		csv.WriteString("mode,round,live_bytes,dead_bytes,trimmed_bytes,space_amp,log_segments\n")
-		for _, r := range []GCModeResult{off, on} {
-			name := "gc-off"
-			if r.GCEnabled {
-				name = "gc-on"
-			}
-			for _, s := range r.Series {
-				fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%.3f,%d\n",
-					name, s.Round, s.LiveBytes, s.DeadBytes, s.TrimmedBytes, s.SpaceAmp, s.LogSegments)
-			}
+	var csv strings.Builder
+	csv.WriteString("mode,round,live_bytes,dead_bytes,trimmed_bytes,space_amp,log_segments\n")
+	for _, r := range []GCModeResult{off, on} {
+		for _, s := range r.Series {
+			fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%.3f,%d\n",
+				r.name(), s.Round, s.LiveBytes, s.DeadBytes, s.TrimmedBytes, s.SpaceAmp, s.LogSegments)
 		}
-		path := filepath.Join(GCCSVDir, "BENCH_fig12_space.csv")
-		if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
 	}
-	if GCJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(GCJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", GCJSONPath)
+	if _, err := writeArtifact(w, dir, gcCSV, []byte(csv.String())); err != nil {
+		return err
 	}
-	return nil
+	return writeReport(w, dir, ExpGC, report)
+}
+
+func (r GCModeResult) name() string {
+	if r.GCEnabled {
+		return "gc-on"
+	}
+	return "gc-off"
+}
+
+// gcCSV is the space time series: log occupancy over the overwrite
+// rounds, GC off vs on.
+const gcCSV = "BENCH_fig12_space.csv"
+
+func (r *GCReport) gates(dir string) []Gate {
+	csv := Gate{Name: gcCSV + " bytes", Op: ">=", Bound: 1}
+	if fi, err := os.Stat(filepath.Join(dir, gcCSV)); err != nil {
+		csv.Evidence = err.Error()
+	} else {
+		csv.Value = float64(fi.Size())
+	}
+	return []Gate{
+		csv,
+		{Name: "space_amp", Value: r.SpaceAmp, Op: "<=", Bound: 2,
+			Evidence: fmt.Sprintf("gc-on: live %d B, dead %d B, %d passes, %d segments freed; gc-off amp %.2f",
+				r.On.LiveBytes, r.On.DeadBytes, r.On.Passes, r.On.SegmentsFreed, r.Off.FinalSpaceAmp)},
+		{Name: "overhead_offered_load_percent", Value: r.OverheadOfferedLoadPercent, Op: "<=", Bound: 10,
+			Evidence: fmt.Sprintf("paced Kops/s: gc-off %.1f, gc-on %.1f", r.Off.PacedKOpsPerSec, r.On.PacedKOpsPerSec)},
+	}
 }

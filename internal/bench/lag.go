@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -17,15 +13,6 @@ import (
 	"tebis/internal/rdma"
 	"tebis/internal/region"
 )
-
-// LagJSONPath is where the lag experiment writes its machine-readable
-// report; empty disables the file.
-var LagJSONPath = "BENCH_lag.json"
-
-// LagCSVDir is where the lag experiment writes BENCH_fig13_lag.csv
-// (the per-backup lag/staleness time series around the injected delay);
-// empty disables the file.
-var LagCSVDir = "."
 
 // lagDelay is the injected per-write stall on the slow backup. It sits
 // far below RetryPolicy.AckTimeout, so the primary must absorb it as
@@ -351,27 +338,10 @@ func runLagMode(sc Scale, tracking bool, opsPerSec float64) (LagModeResult, erro
 	return res, nil
 }
 
-// medianLagMode reruns one configuration and returns the
-// median-throughput trial, damping single-core scheduler noise.
-func medianLagMode(sc Scale, tracking bool, opsPerSec float64) (LagModeResult, error) {
-	trials := make([]LagModeResult, 0, 3)
-	for i := 0; i < 3; i++ {
-		r, err := runLagMode(sc, tracking, opsPerSec)
-		if err != nil {
-			return LagModeResult{}, err
-		}
-		trials = append(trials, r)
-	}
-	sort.Slice(trials, func(i, j int) bool {
-		return trials[i].KOpsPerSec < trials[j].KOpsPerSec
-	})
-	return trials[1], nil
-}
-
 // runLag measures the replication-plane health acceptance: a 50ms
 // delayed backup must show up as lag and staleness, drain to ~0 when
 // the delay clears, lose nothing, and the tracker must be ~free.
-func runLag(sc Scale, w io.Writer) error {
+func runLag(sc Scale, dir string, w io.Writer) error {
 	var report LagReport
 	if err := runLagFault(sc, &report); err != nil {
 		return err
@@ -387,28 +357,21 @@ func runLag(sc Scale, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rate := off.KOpsPerSec * 1000 * 0.5
-	pacedOff, err := medianLagMode(sc, false, rate)
+	paced, err := runAB(3, pacedRate(off.KOpsPerSec), func(tracking bool, opsPerSec float64) (LagModeResult, error) {
+		return runLagMode(sc, tracking, opsPerSec)
+	})
 	if err != nil {
 		return err
 	}
-	pacedOn, err := medianLagMode(sc, true, rate)
-	if err != nil {
-		return err
-	}
+	kops := func(r LagModeResult) float64 { return r.KOpsPerSec }
+	pacedOff, pacedOn := paced.median(false, kops), paced.median(true, kops)
 	off.PacedKOpsPerSec = pacedOff.KOpsPerSec
 	off.OfferedKopsPerSec = pacedOff.OfferedKopsPerSec
 	on.PacedKOpsPerSec = pacedOn.KOpsPerSec
 	on.OfferedKopsPerSec = pacedOn.OfferedKopsPerSec
 	report.Off = off
 	report.On = on
-	if pacedOff.KOpsPerSec > 0 {
-		loss := (pacedOff.KOpsPerSec - pacedOn.KOpsPerSec) / pacedOff.KOpsPerSec * 100
-		if loss < 0 {
-			loss = 0
-		}
-		report.OverheadOfferedLoadPercent = loss
-	}
+	report.OverheadOfferedLoadPercent = paced.overhead(kops, true)
 
 	fmt.Fprintf(w, "Replication lag under a %.0fms-delayed backup (region %d, backup %s)\n",
 		report.DelayMillis, report.Region, report.Backup)
@@ -431,28 +394,37 @@ func runLag(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "tracker offered-load cost %.2f%% (budget 5%%)\n",
 		report.OverheadOfferedLoadPercent)
 
-	if LagCSVDir != "" {
-		var csv strings.Builder
-		csv.WriteString("t_ms,phase,lag_ops,lag_bytes,staleness_ms\n")
-		for _, s := range report.Series {
-			fmt.Fprintf(&csv, "%.1f,%s,%d,%d,%.3f\n",
-				s.TMillis, s.Phase, s.LagOps, s.LagBytes, s.StalenessMillis)
-		}
-		path := filepath.Join(LagCSVDir, "BENCH_fig13_lag.csv")
-		if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
+	var csv strings.Builder
+	csv.WriteString("t_ms,phase,lag_ops,lag_bytes,staleness_ms\n")
+	for _, s := range report.Series {
+		fmt.Fprintf(&csv, "%.1f,%s,%d,%d,%.3f\n",
+			s.TMillis, s.Phase, s.LagOps, s.LagBytes, s.StalenessMillis)
 	}
-	if LagJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(LagJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", LagJSONPath)
+	if _, err := writeArtifact(w, dir, lagCSV, []byte(csv.String())); err != nil {
+		return err
 	}
-	return nil
+	return writeReport(w, dir, ExpLag, report)
+}
+
+// lagCSV is the per-backup lag/staleness time series around the
+// injected delay.
+const lagCSV = "BENCH_fig13_lag.csv"
+
+func (r *LagReport) gates(dir string) []Gate {
+	counts := fmt.Sprintf("%d acked writes, %d lost acks, %d wrong reads, %d evictions",
+		r.AckedWrites, r.LostAcks, r.WrongReads, r.Evictions)
+	drain := fmt.Sprintf("peak lag %d ops / %.1fms stale; final lag %d ops / %d B / %.2fms stale",
+		r.MaxLagOps, r.MaxStalenessMillis, r.FinalLagOps, r.FinalLagBytes, r.FinalStalenessMillis)
+	gates := []Gate{
+		{Name: "lost_acks", Value: float64(r.LostAcks), Op: "==", Bound: 0, Evidence: counts},
+		{Name: "wrong_reads", Value: float64(r.WrongReads), Op: "==", Bound: 0, Evidence: counts},
+		{Name: "evictions", Value: float64(r.Evictions), Op: "==", Bound: 0, Evidence: counts},
+		{Name: "max_staleness_ms", Value: r.MaxStalenessMillis, Op: ">=", Bound: 25, Evidence: drain},
+		{Name: "final_lag_ops", Value: float64(r.FinalLagOps), Op: "==", Bound: 0, Evidence: drain},
+		{Name: "final_staleness_ms", Value: r.FinalStalenessMillis, Op: "<=", Bound: 1, Evidence: drain},
+		{Name: "overhead_offered_load_percent", Value: r.OverheadOfferedLoadPercent, Op: "<=", Bound: 5,
+			Retry: true, Evidence: fmt.Sprintf("paced Kops/s: tracking off %.1f, on %.1f",
+				r.Off.PacedKOpsPerSec, r.On.PacedKOpsPerSec)},
+	}
+	return append(gates, csvRowGates(dir, lagCSV, "phase", "baseline", "delayed", "drain")...)
 }

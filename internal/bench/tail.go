@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"strings"
 	"time"
 
 	"tebis/internal/admission"
@@ -22,14 +20,6 @@ import (
 // trace IDs for the worst offenders, and quantifies what signal-driven
 // admission control buys back during a flash burst versus the
 // fixed-knob baseline.
-
-// TailJSONPath is where the tail experiment writes its machine-readable
-// report; empty disables the file.
-var TailJSONPath = "BENCH_tail.json"
-
-// TailCSVDir is where the tail experiment writes BENCH_fig11_tail.csv;
-// empty disables it.
-var TailCSVDir = "."
 
 // tailSampleRate is the elevated trace-sampling probability the tail
 // runs use: 1/8 gives the stage histograms and the admission
@@ -78,12 +68,17 @@ type TailTenant struct {
 	BurstP99Us float64 `json:"burst_p99_us,omitempty"`
 	PostP50Us  float64 `json:"post_p50_us,omitempty"`
 	PostP99Us  float64 `json:"post_p99_us,omitempty"`
+	// Shed and Delayed count the admission actions the servers took on
+	// this tenant's requests.
+	Shed    uint64 `json:"shed"`
+	Delayed uint64 `json:"delayed"`
 }
 
 // TailScenario is one traffic scenario's full outcome.
 type TailScenario struct {
 	Name      string         `json:"name"`
 	Adaptive  bool           `json:"adaptive"`
+	Seed      int64          `json:"seed"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 	Tenants   []TailTenant   `json:"tenants"`
 	Stages    []TailStageRow `json:"stages"`
@@ -96,8 +91,7 @@ type TailScenario struct {
 	Tightens uint64 `json:"tightens"`
 }
 
-// TailGate holds the tail-smoke acceptance numbers under uniquely-named
-// keys so shell gates can extract them with a one-line sed.
+// TailGate holds the tail experiment's acceptance numbers.
 type TailGate struct {
 	// OverheadPercent is the offered-load cost of the full observability
 	// stack (elevated-rate tracing + stage records + scrape loop):
@@ -188,20 +182,21 @@ func newTailCluster(sc Scale, adaptive, obsOn bool) (*tailCluster, error) {
 
 func (tc *tailCluster) Close() { tc.c.Close() }
 
-// admissionTotals sums the controller counters across the cluster's
-// servers.
-func (tc *tailCluster) admissionTotals() (shed, delayed, tightens uint64) {
+// admissionCounts sums the controller counters across the cluster's
+// servers: shed and delayed requests per tenant, and tightenings.
+func (tc *tailCluster) admissionCounts() (shed, delayed map[string]uint64, tightens uint64) {
+	shed, delayed = make(map[string]uint64), make(map[string]uint64)
 	for _, n := range tc.c.Nodes {
 		snap := n.Server.Admission().Snapshot()
 		tightens += snap.Tightens
-		for _, v := range snap.Shed {
-			shed += v
+		for t, v := range snap.Shed {
+			shed[t] += v
 		}
-		for _, v := range snap.Delayed {
-			delayed += v
+		for t, v := range snap.Delayed {
+			delayed[t] += v
 		}
 	}
-	return
+	return shed, delayed, tightens
 }
 
 // runTailScenario drives one traffic scenario and snapshots the shared
@@ -209,7 +204,7 @@ func (tc *tailCluster) admissionTotals() (shed, delayed, tightens uint64) {
 // each scenario's attribution stands alone.
 func runTailScenario(tc *tailCluster, name string, adaptive bool, specs []TenantSpec, dur time.Duration, seed int64) (TailScenario, error) {
 	tc.c.Stages().Reset()
-	shed0, delayed0, tight0 := tc.admissionTotals()
+	shed0, delayed0, tight0 := tc.admissionCounts()
 	res, err := RunTraffic(tc.c, specs, dur, seed)
 	if err != nil {
 		return TailScenario{}, err
@@ -217,14 +212,22 @@ func runTailScenario(tc *tailCluster, name string, adaptive bool, specs []Tenant
 	scen := TailScenario{
 		Name:      name,
 		Adaptive:  adaptive,
+		Seed:      seed,
 		ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond),
 	}
-	shed1, delayed1, tight1 := tc.admissionTotals()
-	scen.Shed, scen.Delayed, scen.Tightens = shed1-shed0, delayed1-delayed0, tight1-tight0
+	shed1, delayed1, tight1 := tc.admissionCounts()
+	scen.Tightens = tight1 - tight0
+	for t, v := range shed1 {
+		scen.Shed += v - shed0[t]
+	}
+	for t, v := range delayed1 {
+		scen.Delayed += v - delayed0[t]
+	}
 
 	for _, t := range res.Tenants {
+		label := t.Spec.Label()
 		tt := TailTenant{
-			Tenant:          t.Spec.Label(),
+			Tenant:          label,
 			Pattern:         t.Spec.Pattern.String(),
 			Priority:        t.Spec.Priority,
 			Ops:             t.Ops,
@@ -234,6 +237,8 @@ func runTailScenario(tc *tailCluster, name string, adaptive bool, specs []Tenant
 			LostAcks:        t.LostAcks,
 			PreP50Us:        float64(t.Pre.Percentile(50).Nanoseconds()) / 1e3,
 			PreP99Us:        float64(t.Pre.Percentile(99).Nanoseconds()) / 1e3,
+			Shed:            shed1[label] - shed0[label],
+			Delayed:         delayed1[label] - delayed0[label],
 		}
 		if t.Burst.Count() > 0 {
 			tt.BurstP50Us = float64(t.Burst.Percentile(50).Nanoseconds()) / 1e3
@@ -317,80 +322,40 @@ func tailBurstSpecs(dur time.Duration) []TenantSpec {
 // paced offered load the tail scenarios run — the gated metric,
 // matching the observability experiment's acceptance criterion — and
 // unpaced saturating throughput, the raw hot-path tax, reported but not
-// gated. Three runs per mode, best each, to shrink scheduler noise.
+// gated. Each is the median loss over three interleaved pairs.
 func tailOverhead(sc Scale, dur time.Duration) (paced, unpaced float64, err error) {
-	best := func(obsOn, pace bool) (float64, error) {
+	trial := func(obsOn bool, opsPerSec float64) (float64, error) {
 		spec := TenantSpec{ID: 1, Priority: 1, Pattern: PatternUniform, Concurrency: 4}
-		if pace {
-			spec.RateOps = 1800
+		if opsPerSec > 0 {
+			spec.RateOps = opsPerSec
 			spec.Concurrency = 2
 		}
-		var top float64
-		for i := 0; i < 3; i++ {
-			tc, err := newTailCluster(sc, false, obsOn)
-			if err != nil {
-				return 0, err
-			}
-			var stop chan struct{}
-			var done chan struct{}
-			if obsOn {
-				// Scrape continuously, like a Prometheus server with an
-				// aggressive interval, so exposition costs are charged.
-				stop, done = make(chan struct{}), make(chan struct{})
-				go func() {
-					tick := time.NewTicker(10 * time.Millisecond)
-					defer tick.Stop()
-					for {
-						select {
-						case <-stop:
-							close(done)
-							return
-						case <-tick.C:
-							_ = tc.reg.WritePrometheus(io.Discard)
-						}
-					}
-				}()
-			}
-			res, err := RunTraffic(tc.c, []TenantSpec{spec}, dur, int64(100+i))
-			if obsOn {
-				close(stop)
-				<-done
-			}
-			tc.Close()
-			if err != nil {
-				return 0, err
-			}
-			kops := float64(res.Tenants[0].Ops) / res.Elapsed.Seconds() / 1000
-			if kops > top {
-				top = kops
-			}
-		}
-		return top, nil
-	}
-	loss := func(pace bool) (float64, error) {
-		off, err := best(false, pace)
+		tc, err := newTailCluster(sc, false, obsOn)
 		if err != nil {
 			return 0, err
 		}
-		on, err := best(true, pace)
+		defer tc.Close()
+		if obsOn {
+			defer scrape(tc.reg)()
+		}
+		// Every trial replays one seed, so the sides differ only in the
+		// observability stack.
+		res, err := RunTraffic(tc.c, []TenantSpec{spec}, dur, 100)
 		if err != nil {
 			return 0, err
 		}
-		if off <= 0 {
-			return 0, fmt.Errorf("bench: tail overhead: zero baseline throughput")
-		}
-		pct := (off - on) / off * 100
-		if pct < 0 {
-			pct = 0
-		}
-		return pct, nil
+		return float64(res.Tenants[0].Ops) / res.Elapsed.Seconds() / 1000, nil
 	}
-	if paced, err = loss(true); err != nil {
+	kops := func(v float64) float64 { return v }
+	pacedPairs, err := runAB(3, 1800, trial)
+	if err != nil {
 		return 0, 0, err
 	}
-	if unpaced, err = loss(false); err != nil {
+	unpacedPairs, err := runAB(3, 0, trial)
+	if err != nil {
 		return 0, 0, err
 	}
+	paced, unpaced = pacedPairs.overhead(kops, true), unpacedPairs.overhead(kops, true)
 	return paced, unpaced, nil
 }
 
@@ -398,7 +363,7 @@ func tailOverhead(sc Scale, dur time.Duration) (paced, unpaced float64, err erro
 // not a paper artifact): per-stage, per-tenant p50/p99 under uniform,
 // zipfian, ramp, and flash-burst traffic, the flash burst run both
 // fixed-knob and adaptive. Emits BENCH_fig11_tail.csv + BENCH_tail.json.
-func runTail(sc Scale, w io.Writer) error {
+func runTail(sc Scale, dir string, w io.Writer) error {
 	dur := tailDur(sc)
 	report := TailReport{SampleRate: tailSampleRate}
 
@@ -450,11 +415,57 @@ func runTail(sc Scale, w io.Writer) error {
 
 	report.Gate = tailGate(&report, overhead)
 	report.Gate.OverheadUnpacedPercent = overheadUnpaced
-	if err := writeTailArtifacts(&report); err != nil {
+	printTail(w, &report)
+
+	var csv strings.Builder
+	csv.WriteString("scenario,tenant,stage,count,p50_us,p99_us\n")
+	for _, scen := range report.Scenarios {
+		for _, r := range scen.Stages {
+			fmt.Fprintf(&csv, "%s,%s,%s,%d,%.1f,%.1f\n",
+				r.Scenario, r.Tenant, r.Stage, r.Count, r.P50Us, r.P99Us)
+		}
+	}
+	path, err := writeArtifact(w, dir, tailCSV, []byte(csv.String()))
+	if err != nil {
 		return err
 	}
-	printTail(w, &report)
-	return nil
+	report.CSVs = append(report.CSVs, path)
+	return writeReport(w, dir, ExpTail, report)
+}
+
+// tailCSV is the per-scenario, per-tenant, per-stage p50/p99 table.
+const tailCSV = "BENCH_fig11_tail.csv"
+
+func (r *TailReport) gates(dir string) []Gate {
+	g := r.Gate
+	var lost, burst strings.Builder
+	for _, scen := range r.Scenarios {
+		for _, t := range scen.Tenants {
+			if t.LostAcks > 0 {
+				fmt.Fprintf(&lost, "%s (seed %d) %s: %d of %d acked writes lost\n",
+					scen.Name, scen.Seed, t.Tenant, t.LostAcks, t.Acked)
+			}
+		}
+		if scen.Name != "flash-burst-adaptive" && scen.Name != "flash-burst-fixed" {
+			continue
+		}
+		fmt.Fprintf(&burst, "%s (seed %d): shed %d, delayed %d, %d tightens\n",
+			scen.Name, scen.Seed, scen.Shed, scen.Delayed, scen.Tightens)
+		for _, t := range scen.Tenants {
+			fmt.Fprintf(&burst, "  %s: pre p99 %.1fus, burst p99 %.1fus, shed %d, delayed %d, rejected %d, overload retries %d\n",
+				t.Tenant, t.PreP99Us, t.BurstP99Us, t.Shed, t.Delayed, t.Rejected, t.OverloadRetries)
+		}
+	}
+	gates := []Gate{
+		{Name: "total_lost_acks", Value: float64(g.TotalLostAcks), Op: "==", Bound: 0, Evidence: lost.String()},
+		{Name: "overhead_percent", Value: g.OverheadPercent, Op: "<=", Bound: 5, Retry: true,
+			Evidence: fmt.Sprintf("unpaced overhead %.2f%%", g.OverheadUnpacedPercent)},
+		{Name: "adaptive_burst_p99_us", Value: g.AdaptiveBurstP99Us, Op: "<=", Bound: 3 * g.PreBurstP99Us,
+			Retry: true, Evidence: burst.String()},
+		{Name: "exemplars_resolved", Value: float64(g.ExemplarsResolved), Op: ">=", Bound: 1},
+	}
+	gates = append(gates, csvRowGates(dir, tailCSV, "scenario", "uniform", "zipfian", "flash-burst-adaptive")...)
+	return append(gates, csvRowGates(dir, tailCSV, "tenant", "t1", "t2")...)
 }
 
 // tailGate derives the acceptance numbers from the collected scenarios.
@@ -480,44 +491,6 @@ func tailGate(report *TailReport, overhead float64) TailGate {
 		}
 	}
 	return g
-}
-
-// writeTailArtifacts emits BENCH_fig11_tail.csv and BENCH_tail.json.
-func writeTailArtifacts(report *TailReport) error {
-	if TailCSVDir != "" {
-		path := filepath.Join(TailCSVDir, "BENCH_fig11_tail.csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "scenario,tenant,stage,count,p50_us,p99_us")
-		for _, scen := range report.Scenarios {
-			for _, r := range scen.Stages {
-				fmt.Fprintf(f, "%s,%s,%s,%d,%.1f,%.1f\n",
-					r.Scenario, r.Tenant, r.Stage, r.Count, r.P50Us, r.P99Us)
-			}
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		report.CSVs = append(report.CSVs, path)
-	}
-	if TailJSONPath != "" {
-		f, err := os.Create(TailJSONPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // printTail writes the human-readable summary.

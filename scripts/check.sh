@@ -20,8 +20,8 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-# -timeout is about 3x the slowest package's -race time (internal/bench,
-# ~65s on a 2-core host): a hang fails fast instead of after 10 minutes.
+# -timeout is about 2.5x the slowest package's -race time (internal/bench,
+# ~75s on a 2-core host): a hang fails fast instead of after 10 minutes.
 echo "== go test -race"
 go test -race -timeout 200s ./...
 
@@ -48,63 +48,6 @@ make crash-smoke
 echo "== ship smoke"
 make ship-smoke
 
-# figures-smoke runs the paper-figure harness at a tiny scale and
-# asserts it emits BENCH_figures.json plus the per-figure CSVs,
-# each run carrying the >= 20 time-series samples the harness
-# guarantees.
-echo "== figures smoke"
-figdir=$(mktemp -d)
-go run ./cmd/tebis-bench -experiment figures -records 3000 -ops 1500 -l0 256 \
-    -figures-json "$figdir/BENCH_figures.json" -figures-csv-dir "$figdir" >/dev/null
-for f in BENCH_figures.json BENCH_fig6_throughput.csv \
-         BENCH_fig7_amplification.csv BENCH_fig8_latency.csv \
-         BENCH_fig10_netamp.csv; do
-    if [ ! -s "$figdir/$f" ]; then
-        echo "figures smoke: missing $f" >&2
-        exit 1
-    fi
-done
-awk '/"samples":/ { v=$2; gsub(/[^0-9]/, "", v); if (v+0 < 20) {
-        print "figures smoke: a run has " v " samples (< 20)" > "/dev/stderr"; exit 1 } }' \
-    "$figdir/BENCH_figures.json"
-# Fig. 10 acceptance: with the ship codec on (the default), index
-# shipping may inflate replication network by at most 1.1x over log
-# replication alone.
-netamp=$(sed -n 's/.*"net_amp_ratio": \([0-9.eE+-]*\).*/\1/p' "$figdir/BENCH_figures.json")
-if [ -z "$netamp" ]; then
-    echo "figures smoke: no net_amp_ratio in report" >&2
-    exit 1
-fi
-awk -v r="$netamp" 'BEGIN { if (r + 0 > 1.1) {
-    print "figures smoke: net-amp ratio " r " exceeds the 1.1x budget" > "/dev/stderr"; exit 1 } }'
-echo "   fig10 net-amp ratio: ${netamp}x"
-rm -rf "$figdir"
-
-# The observability overhead gate: the instrumented hot path (registry
-# scraping + request tracing at the default sample rate) must cost at
-# most 5% of offered-load throughput versus instrumentation off.
-echo "== observability overhead gate"
-obsdir=$(mktemp -d)
-go run ./cmd/tebis-bench -experiment observability -quick \
-    -observability-json "$obsdir/BENCH_observability.json" >/dev/null
-overhead=$(sed -n 's/.*"overhead_offered_load_percent": \([0-9.eE+-]*\).*/\1/p' \
-    "$obsdir/BENCH_observability.json")
-if [ -z "$overhead" ]; then
-    echo "observability gate: no overhead_offered_load_percent in report" >&2
-    exit 1
-fi
-awk -v o="$overhead" 'BEGIN { if (o + 0 > 5) {
-    print "observability overhead " o "% exceeds the 5% budget" > "/dev/stderr"; exit 1 } }'
-echo "   offered-load overhead: ${overhead}%"
-rm -rf "$obsdir"
-
-# tail-smoke runs the two-tenant flash-burst tail experiment and gates
-# on zero lost acks, <= 5% observability overhead, the adaptive
-# admission controller holding the victim's burst p99 within 3x its
-# pre-burst baseline, and resolvable stage exemplars (DESIGN.md §11).
-echo "== tail smoke"
-make tail-smoke
-
 # gc-smoke re-runs the online value-log GC suites by name under -race
 # so a gate log shows explicitly that crash injection at every GC phase,
 # recycled-segment read guards, replica release propagation, and the
@@ -112,38 +55,19 @@ make tail-smoke
 echo "== gc smoke"
 make gc-smoke
 
-# The overwrite-endurance gate (DESIGN.md §12): under a 10x overwrite
-# workload, online GC must hold steady-state log occupancy within 2x the
-# live data while costing at most 10% of offered-load throughput versus
-# GC off.
-echo "== gc endurance gate"
-gcdir=$(mktemp -d)
-go run ./cmd/tebis-bench -experiment gc -quick \
-    -gc-json "$gcdir/BENCH_gc.json" -gc-csv-dir "$gcdir" >/dev/null
-if [ ! -s "$gcdir/BENCH_fig12_space.csv" ]; then
-    echo "gc gate: missing BENCH_fig12_space.csv" >&2
-    exit 1
-fi
-amp=$(sed -n 's/.*"space_amp": \([0-9.eE+-]*\).*/\1/p' "$gcdir/BENCH_gc.json")
-gcoverhead=$(sed -n 's/.*"overhead_offered_load_percent": \([0-9.eE+-]*\).*/\1/p' \
-    "$gcdir/BENCH_gc.json")
-if [ -z "$amp" ] || [ -z "$gcoverhead" ]; then
-    echo "gc gate: report missing space_amp or overhead_offered_load_percent" >&2
-    exit 1
-fi
-awk -v a="$amp" 'BEGIN { if (a + 0 > 2) {
-    print "gc gate: space amplification " a "x exceeds the 2x budget" > "/dev/stderr"; exit 1 } }'
-awk -v o="$gcoverhead" 'BEGIN { if (o + 0 > 10) {
-    print "gc gate: offered-load cost " o "% exceeds the 10% budget" > "/dev/stderr"; exit 1 } }'
-echo "   space amplification: ${amp}x, offered-load cost: ${gcoverhead}%"
-rm -rf "$gcdir"
-
-# lag-smoke runs the replication-plane health experiment (DESIGN.md §13)
-# and gates on zero lost acks / wrong reads / evictions under an
-# injected 50ms-delayed backup, the lag and staleness gauges rising then
-# draining back to ~0, and <= 5% lag-tracker overhead at offered load.
-echo "== lag smoke"
-make lag-smoke
+# The bench acceptance gates, evaluated by tebis-bench -gate at quick
+# scale: observability overhead <= 5% of offered load; the tail
+# experiment's zero lost acks, <= 5% overhead, adaptive burst p99 <= 3x
+# pre-burst and resolvable exemplars (DESIGN.md §11); GC space
+# amplification <= 2x at <= 10% offered-load cost (§12); and the lag
+# experiment's zero lost acks / wrong reads / evictions, staleness
+# rising then draining, and <= 5% tracker cost (§13). On a failure the
+# reports stay in the printed directory.
+echo "== bench gates"
+gatedir=$(mktemp -d)
+go run ./cmd/tebis-bench -quick -gate -out "$gatedir" \
+    -experiment observability,tail,gc,lag
+rm -rf "$gatedir"
 
 # rebalance-smoke re-runs the dynamic-region suites by name under -race
 # so a gate log shows explicitly that online split/merge, index-shipped
