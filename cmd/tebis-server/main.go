@@ -259,7 +259,6 @@ func main() {
 		TaskThreshold:    *taskThresh,
 		WorkerQueueDepth: *queueDepth,
 		ShipCodec:        shipCodec,
-		ShipDelta:        !*shipRaw,
 		Trace:            tracer,
 		Stages:           stages,
 		Events:           ev,

@@ -193,7 +193,6 @@ func New(cfg Config) (*Cluster, error) {
 			Stages:        cfg.Stages,
 			Admission:     cfg.Admission,
 			ShipCodec:     shipCodec,
-			ShipDelta:     !cfg.ShipUncompressed,
 			GC:            cfg.GC,
 			Events:        cfg.Events,
 			DisableLag:    cfg.DisableLag,
@@ -345,13 +344,6 @@ func mapReferences(rmap *region.Map, name string) bool {
 	return false
 }
 
-// SwitchPrimary gracefully moves a region's primary role to one of its
-// backups (load balancing). Clients discover the move through
-// wrong-region replies and a map refresh.
-func (c *Cluster) SwitchPrimary(id region.ID, to string) error {
-	return c.leader.SwitchPrimary(id, to)
-}
-
 // SplitRegion splits a region online at splitKey (nil asks the serving
 // host for its sampled median). The split is logical — both children
 // keep serving from the shared engine — and clients converge through
@@ -369,8 +361,10 @@ func (c *Cluster) MergeRegion(leftID, rightID region.ID) error {
 // MigrateRegion live-migrates a region to another server: the
 // destination is seeded with the source's built index segments and log
 // tail over the replica ship path, writes drain through a short freeze
-// window, and clients chase the move via stale-epoch retries. Returns
-// the bytes shipped.
+// window, and clients chase the move via stale-epoch retries. Onto one
+// of the region's backups it is the graceful primary switch (load
+// balancing): nothing ships and the old primary stays as a backup.
+// Returns the bytes shipped.
 func (c *Cluster) MigrateRegion(id region.ID, to string) (int64, error) {
 	return c.leader.MigrateRegion(id, to)
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,7 +275,7 @@ func TestGracefulPrimarySwitch(t *testing.T) {
 	// rebalance) while the client keeps its stale map.
 	before, _ := c.Map()
 	for _, r := range before.Regions {
-		if err := c.SwitchPrimary(r.ID, r.Backups[0]); err != nil {
+		if _, err := c.MigrateRegion(r.ID, r.Backups[0]); err != nil {
 			t.Fatalf("switch region %d: %v", r.ID, err)
 		}
 	}
@@ -287,7 +289,7 @@ func TestGracefulPrimarySwitch(t *testing.T) {
 		}
 	}
 
-	// Stale-map clients retry through wrong-region replies; all data
+	// Stale-map clients retry through wrong-epoch replies; all data
 	// must be served by the new primaries, and new writes accepted.
 	for i := 0; i < n; i += 9 {
 		k := fmt.Sprintf("key-%02x-%06d", i%211, i)
@@ -576,5 +578,112 @@ func TestBackupEvictionReplacementAndFailover(t *testing.T) {
 		if e.Field("backup") != backupName {
 			t.Fatalf("eviction journaled for %q, want %q", e.Field("backup"), backupName)
 		}
+	}
+}
+
+// TestRefillUnderWritesLosesNoAckedWrites replaces a backup while a
+// client keeps writing, then crashes the primary. The master seeds the
+// replacement with Sync, which requires the region's writes quiesced,
+// so every acknowledged write must read back byte-exact from the
+// replacement once it is promoted.
+func TestRefillUnderWritesLosesNoAckedWrites(t *testing.T) {
+	cfg := testConfig(replica.SendIndex, 1)
+	cfg.Regions = 1
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("cluster close: %v", err)
+		}
+		if err := c.RunErr(); err != nil {
+			t.Errorf("master loop: %v", err)
+		}
+	})
+	rmap, err := c.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := rmap.Regions[0]
+	primaryName, backupName := reg.Primary, reg.Backups[0]
+
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	key := func(i int) string { return fmt.Sprintf("key-%02x-%06d", i%97, i) }
+	val := func(i int) string { return fmt.Sprintf("v%06d-%s", i, strings.Repeat("x", 90)) }
+	var nAcked atomic.Int64
+	stop := make(chan struct{})
+	ackedCh := make(chan []int, 1)
+	go func() {
+		var acked []int
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				ackedCh <- acked
+				return
+			default:
+			}
+			if err := cl.Put([]byte(key(i)), []byte(val(i))); err != nil {
+				continue // never acknowledged
+			}
+			acked = append(acked, i)
+			nAcked.Add(1)
+		}
+	}()
+	waitAcks := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for nAcked.Load() < n {
+			if time.Now().After(deadline) {
+				close(stop)
+				t.Fatalf("writer stalled at %d acks", nAcked.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	waitAcks(1500)
+	if err := c.Leader().ReplaceBackup(reg.ID, backupName); err != nil {
+		close(stop)
+		t.Fatal(err)
+	}
+	waitAcks(nAcked.Load() + 500)
+	close(stop)
+	acked := <-ackedCh
+
+	rmap, err = c.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs := rmap.Regions[0].Backups; len(bs) != 1 || bs[0] == backupName {
+		t.Fatalf("post-refill backups = %v (replaced %s)", bs, backupName)
+	}
+	if err := c.Crash(primaryName); err != nil {
+		t.Fatal(err)
+	}
+	verifier, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer verifier.Close()
+	lost := 0
+	for _, i := range acked {
+		v, found, err := verifier.Get([]byte(key(i)))
+		if err != nil {
+			t.Fatalf("Get(%s) after failover: %v", key(i), err)
+		}
+		if !found || string(v) != val(i) {
+			if lost < 5 {
+				t.Errorf("Get(%s) = %q, %v; want %q", key(i), v, found, val(i))
+			}
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d/%d acknowledged writes lost after refill under writes + failover", lost, len(acked))
 	}
 }

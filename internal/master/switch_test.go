@@ -1,6 +1,7 @@
 package master
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"tebis/internal/replica"
 )
 
-func testSwitchPrimary(t *testing.T, mode replica.Mode) {
+// testMigrateToBackup drives the graceful primary switch: a migration
+// onto one of the region's own backups.
+func testMigrateToBackup(t *testing.T, mode replica.Mode) {
 	h := newHarness(t, 3, mode)
 	h.bootstrap(2, 2) // three-way so a third replica also follows the switch
 
@@ -22,13 +25,16 @@ func testSwitchPrimary(t *testing.T, mode replica.Mode) {
 	}
 
 	target := r0.Backups[0]
-	if err := h.m.SwitchPrimary(0, target); err != nil {
+	if _, err := h.m.MigrateRegion(0, target); err != nil {
 		t.Fatal(err)
 	}
 
 	after, _ := h.m.Map().ByID(0)
 	if after.Primary != target {
 		t.Fatalf("primary = %s, want %s", after.Primary, target)
+	}
+	if after.Epoch <= r0.Epoch {
+		t.Fatalf("epoch %d did not advance past %d", after.Epoch, r0.Epoch)
 	}
 	// The old primary must now be a backup.
 	foundOld := false
@@ -42,6 +48,11 @@ func testSwitchPrimary(t *testing.T, mode replica.Mode) {
 	}
 	if !foundOld {
 		t.Fatalf("old primary %s not demoted into backups %v", r0.Primary, after.Backups)
+	}
+	for name, srv := range h.servers {
+		if srv.Frozen(0) {
+			t.Fatalf("%s left region 0 frozen", name)
+		}
 	}
 
 	// The new primary serves every record.
@@ -90,24 +101,55 @@ func testSwitchPrimary(t *testing.T, mode replica.Mode) {
 	}
 }
 
-func TestSwitchPrimarySendIndex(t *testing.T)  { testSwitchPrimary(t, replica.SendIndex) }
-func TestSwitchPrimaryBuildIndex(t *testing.T) { testSwitchPrimary(t, replica.BuildIndex) }
+func TestMigrateToBackupSendIndex(t *testing.T)  { testMigrateToBackup(t, replica.SendIndex) }
+func TestMigrateToBackupBuildIndex(t *testing.T) { testMigrateToBackup(t, replica.BuildIndex) }
 
-func TestSwitchPrimaryRejectsNonBackup(t *testing.T) {
+func TestMigrateRejectsUnknownRegion(t *testing.T) {
 	h := newHarness(t, 3, replica.SendIndex)
 	h.bootstrap(1, 1)
 	r0, _ := h.m.Map().ByID(0)
-	// A live server that is not in the region's replica set.
-	var outsider string
-	for name := range h.servers {
-		if name != r0.Primary && name != r0.Backups[0] {
-			outsider = name
-		}
+	if _, err := h.m.MigrateRegion(region.ID(99), r0.Backups[0]); err == nil {
+		t.Fatal("migration of unknown region accepted")
 	}
-	if err := h.m.SwitchPrimary(0, outsider); err == nil {
-		t.Fatal("switch to non-backup accepted")
-	}
-	if err := h.m.SwitchPrimary(region.ID(99), r0.Backups[0]); err == nil {
-		t.Fatal("switch of unknown region accepted")
+}
+
+// TestMigrateToBackupAbortKeepsBackup kills the master before a switch
+// onto an existing backup commits: the successor rolls it back without
+// tearing down that backup, which still replicates and can take the
+// switch when it re-runs.
+func TestMigrateToBackupAbortKeepsBackup(t *testing.T) {
+	for _, phase := range []string{PhasePrepare, PhaseTransfer} {
+		t.Run(phase, func(t *testing.T) {
+			h := newHarness(t, 2, replica.SendIndex)
+			h.bootstrap(1, 1)
+			h.seed(0, 500)
+			r0, _ := h.m.Map().ByID(0)
+			target := r0.Backups[0]
+
+			h.m.ReconfigHook = func(op, ph string) error {
+				if ph == phase {
+					return errors.New("master killed by test")
+				}
+				return nil
+			}
+			if _, err := h.m.MigrateRegion(0, target); !errors.Is(err, ErrReconfigInterrupted) {
+				t.Fatalf("err = %v, want interrupted", err)
+			}
+			m2 := h.successor()
+			h.assertConverged(m2)
+			if _, ok := h.servers[target].Backup(0); !ok {
+				t.Fatalf("abort tore down %s's backup of region 0", target)
+			}
+			if _, err := m2.MigrateRegion(0, target); err != nil {
+				t.Fatalf("switch after abort: %v", err)
+			}
+			np, ok := h.servers[target].Primary(0)
+			if !ok {
+				t.Fatal("target does not host the primary")
+			}
+			if _, found, err := np.DB().Get([]byte("key000499")); err != nil || !found {
+				t.Fatalf("Get after re-run switch = %v, %v", found, err)
+			}
+		})
 	}
 }

@@ -750,8 +750,13 @@ func (b *Backup) LevelStates(maxLevels int) []lsm.LevelState {
 	return out
 }
 
-// DB returns the backup's own engine (Build-Index mode; nil otherwise).
-func (b *Backup) DB() *lsm.DB { return b.db }
+// DB returns the backup's own engine: the Build-Index engine, or the
+// engine a Send-Index promotion built; nil otherwise.
+func (b *Backup) DB() *lsm.DB {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.db
+}
 
 // replaySegmentRecords walks the records of one segment image.
 func replaySegmentRecords(geo storage.Geometry, seg storage.SegmentID, data []byte, fn func(off storage.Offset, key []byte, tomb bool, recLen int) error) error {

@@ -88,13 +88,11 @@ type PrimaryConfig struct {
 	// deferred variant exists for the DESIGN.md §4.1 ablation.
 	ShipAtCompactionEnd bool
 	// ShipCodec compresses index-segment images on the wire before they
-	// are staged in a backup's buffer (DESIGN.md §10). Zero (None) ships
-	// raw bytes — the paper's baseline.
+	// are staged in a backup's buffer, and delta-encodes
+	// compaction-shipped segments against the destination level's
+	// previous image when the backup still holds it (DESIGN.md §10).
+	// Zero (None) ships raw bytes — the paper's baseline.
 	ShipCodec shipcodec.Codec
-	// ShipDelta additionally delta-encodes compaction-shipped segments
-	// against the destination level's previous image when the backup
-	// still holds it. Requires a nonzero ShipCodec.
-	ShipDelta bool
 	// ShipPageSize is the delta page size; it must match the backups'
 	// B+-tree node size. Zero selects shipcodec.DefaultPageSize.
 	ShipPageSize int
@@ -578,7 +576,7 @@ func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 	if p.cfg.Mode != SendIndex {
 		return
 	}
-	if p.cfg.ShipDelta && p.cfg.ShipCodec != shipcodec.None && job.DstLevel >= 1 && p.db != nil {
+	if p.cfg.ShipCodec != shipcodec.None && job.DstLevel >= 1 && p.db != nil {
 		// Snapshot the destination level's current segments: the k-th
 		// segment this job ships will be diffed against the k-th old
 		// one (same builder, sorted key order, so fronts tend to align;
@@ -642,8 +640,8 @@ type shipFrame struct {
 
 // encodeShip runs the ship codec over one emitted segment: the full
 // frame always, plus a delta frame against the job's next base segment
-// when delta shipping is on and a usable base exists. A nil error with
-// delta.data == nil means "ship the full frame only".
+// when a usable base exists. A nil error with delta.data == nil means
+// "ship the full frame only".
 func (p *Primary) encodeShip(job lsm.CompactionJob, seg btree.EmittedSegment) (full, delta shipFrame, err error) {
 	if p.cfg.ShipCodec == shipcodec.None {
 		return shipFrame{data: seg.Data}, shipFrame{}, nil
@@ -653,9 +651,6 @@ func (p *Primary) encodeShip(job lsm.CompactionJob, seg btree.EmittedSegment) (f
 		return shipFrame{}, shipFrame{}, err
 	}
 	full = shipFrame{data: frame, codec: uint8(p.cfg.ShipCodec)}
-	if !p.cfg.ShipDelta {
-		return full, shipFrame{}, nil
-	}
 	// Consume the job's next delta base (one per shipped segment, in
 	// ship order).
 	p.mu.Lock()

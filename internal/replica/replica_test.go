@@ -358,6 +358,39 @@ func TestPromoteSendIndexBackupServesAllData(t *testing.T) {
 	}
 }
 
+// TestBackupDBDuringPromote reads a Send-Index backup's engine while
+// Promote installs one, as a server's WaitIdle and Flush do on hosted
+// backups. Under -race this fails if DB reads b.db unsynchronized.
+func TestBackupDBDuringPromote(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	r.load(1500, 40)
+	b := r.backups[0]
+	r.primary.Detach(b)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				b.DB()
+			}
+		}
+	}()
+	db2, err := b.Promote()
+	close(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	<-done
+	if b.DB() != db2 {
+		t.Fatal("DB after Promote is not the promoted engine")
+	}
+}
+
 func TestPromoteBuildIndexBackupServesAllData(t *testing.T) {
 	r := newRig(t, BuildIndex, 1)
 	const n = 2500

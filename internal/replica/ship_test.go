@@ -23,7 +23,6 @@ func newShipRig(t *testing.T, ship *metrics.ShipStats) (*rig, *storage.Verifying
 		},
 		func(pc *PrimaryConfig) {
 			pc.ShipCodec = shipcodec.Flate
-			pc.ShipDelta = true
 			pc.ShipPageSize = lsmOpts().NodeSize
 			pc.Ship = ship
 		},

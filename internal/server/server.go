@@ -65,12 +65,10 @@ type Config struct {
 	// BufferSize is the per-client RDMA buffer size (DefaultBufferSize
 	// if zero).
 	BufferSize int
-	// ShipCodec compresses shipped index segments on the wire
-	// (DESIGN.md §10); zero ships raw bytes.
+	// ShipCodec compresses shipped index segments on the wire and
+	// delta-encodes compaction ships against the destination level's
+	// previous image (DESIGN.md §10); zero ships raw bytes.
 	ShipCodec shipcodec.Codec
-	// ShipDelta delta-encodes compaction ships against the destination
-	// level's previous image (requires a nonzero ShipCodec).
-	ShipDelta bool
 	// Ship collects raw-vs-wire ship traffic metrics (created on demand
 	// when nil).
 	Ship *metrics.ShipStats
@@ -376,6 +374,45 @@ func (s *Server) lsmOptions() lsm.Options {
 	return opt
 }
 
+// primaryConfig is the replica configuration of a primary this server
+// hosts, opened fresh or promoted from a backup.
+func (s *Server) primaryConfig(id region.ID, mode replica.Mode) replica.PrimaryConfig {
+	return replica.PrimaryConfig{
+		RegionID:     id,
+		ServerName:   s.cfg.Name,
+		Mode:         mode,
+		Endpoint:     s.cfg.Endpoint,
+		Cycles:       s.cfg.Cycles,
+		Cost:         s.cfg.Cost,
+		ShipCodec:    s.cfg.ShipCodec,
+		ShipPageSize: s.cfg.LSM.NodeSize,
+		Ship:         s.cfg.Ship,
+		Retry:        s.cfg.Retry,
+		Failures:     s.cfg.Failures,
+		Trace:        s.trace,
+		Stages:       s.cfg.Stages,
+		Lag:          s.cfg.Lag,
+		Events:       s.cfg.Events,
+	}
+}
+
+// backupConfig is the replica configuration of a backup this server
+// hosts, opened fresh or demoted from a primary. Callers hold s.mu (it
+// draws an engine seed).
+func (s *Server) backupConfig(id region.ID, mode replica.Mode) replica.BackupConfig {
+	return replica.BackupConfig{
+		RegionID:   id,
+		ServerName: s.cfg.Name,
+		Mode:       mode,
+		Device:     s.cfg.Device,
+		Endpoint:   s.cfg.Endpoint,
+		Cycles:     s.cfg.Cycles,
+		Cost:       s.cfg.Cost,
+		LSM:        s.lsmOptions(),
+		Trace:      s.trace,
+	}
+}
+
 // OpenPrimary hosts a region with the primary role and returns its
 // replica state so the master can attach backups.
 func (s *Server) OpenPrimary(r region.Region, mode replica.Mode) (*replica.Primary, error) {
@@ -387,24 +424,7 @@ func (s *Server) OpenPrimary(r region.Region, mode replica.Mode) (*replica.Prima
 	if _, ok := s.regions[r.ID]; ok {
 		return nil, fmt.Errorf("%w: %d", ErrRegionExists, r.ID)
 	}
-	p := replica.NewPrimary(replica.PrimaryConfig{
-		RegionID:     r.ID,
-		ServerName:   s.cfg.Name,
-		Mode:         mode,
-		Endpoint:     s.cfg.Endpoint,
-		Cycles:       s.cfg.Cycles,
-		Cost:         s.cfg.Cost,
-		ShipCodec:    s.cfg.ShipCodec,
-		ShipDelta:    s.cfg.ShipDelta,
-		ShipPageSize: s.cfg.LSM.NodeSize,
-		Ship:         s.cfg.Ship,
-		Retry:        s.cfg.Retry,
-		Failures:     s.cfg.Failures,
-		Trace:        s.trace,
-		Stages:       s.cfg.Stages,
-		Lag:          s.cfg.Lag,
-		Events:       s.cfg.Events,
-	})
+	p := replica.NewPrimary(s.primaryConfig(r.ID, mode))
 	opt := s.lsmOptions()
 	if mode != replica.NoReplication {
 		opt.Listener = p
@@ -434,21 +454,7 @@ func (s *Server) OpenBackup(r region.Region, mode replica.Mode) (*replica.Backup
 	if _, ok := s.regions[r.ID]; ok {
 		return nil, fmt.Errorf("%w: %d", ErrRegionExists, r.ID)
 	}
-	opt := s.cfg.LSM
-	s.seed++
-	opt.Seed = s.seed
-	opt.Trace = s.trace
-	b, err := replica.NewBackup(replica.BackupConfig{
-		RegionID:   r.ID,
-		ServerName: s.cfg.Name,
-		Mode:       mode,
-		Device:     s.cfg.Device,
-		Endpoint:   s.cfg.Endpoint,
-		Cycles:     s.cfg.Cycles,
-		Cost:       s.cfg.Cost,
-		LSM:        opt,
-		Trace:      s.trace,
-	})
+	b, err := replica.NewBackup(s.backupConfig(r.ID, mode))
 	if err != nil {
 		return nil, err
 	}
@@ -470,24 +476,7 @@ func (s *Server) PromoteToPrimary(id region.ID) (*replica.Primary, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := replica.NewPrimary(replica.PrimaryConfig{
-		RegionID:     id,
-		ServerName:   s.cfg.Name,
-		Mode:         hr.mode,
-		Endpoint:     s.cfg.Endpoint,
-		Cycles:       s.cfg.Cycles,
-		Cost:         s.cfg.Cost,
-		ShipCodec:    s.cfg.ShipCodec,
-		ShipDelta:    s.cfg.ShipDelta,
-		ShipPageSize: s.cfg.LSM.NodeSize,
-		Ship:         s.cfg.Ship,
-		Retry:        s.cfg.Retry,
-		Failures:     s.cfg.Failures,
-		Trace:        s.trace,
-		Stages:       s.cfg.Stages,
-		Lag:          s.cfg.Lag,
-		Events:       s.cfg.Events,
-	})
+	p := replica.NewPrimary(s.primaryConfig(id, hr.mode))
 	p.SetDB(db)
 	db.SetListener(p)
 
@@ -507,33 +496,21 @@ func (s *Server) PromoteToPrimary(id region.ID) (*replica.Primary, error) {
 }
 
 // DemoteToBackup converts a hosted primary into a backup of a newly
-// promoted primary (the graceful-switch path used for load balancing).
+// promoted primary, in the region's own replication mode (the
+// graceful-switch half of a migration onto an existing backup).
 // oldToNew is the new primary's log-map snapshot taken before its
-// promotion. The caller must have quiesced client traffic on the
-// region; after demotion this server answers wrong-region so clients
-// refresh their maps.
-func (s *Server) DemoteToBackup(id region.ID, mode replica.Mode, oldToNew map[storage.SegmentID]storage.SegmentID) (*replica.Backup, error) {
+// promotion. The caller must have frozen the region; after demotion
+// this server answers not-primary so clients refresh their maps.
+func (s *Server) DemoteToBackup(id region.ID, oldToNew map[storage.SegmentID]storage.SegmentID) (*replica.Backup, error) {
 	s.mu.Lock()
 	hr, ok := s.regions[id]
-	s.mu.Unlock()
 	if !ok || hr.primary == nil {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d", ErrUnknownRegion, id)
 	}
-	opt := s.cfg.LSM
-	s.seed++
-	opt.Seed = s.seed
-	opt.Trace = s.trace
-	b, err := replica.NewBackupFromPrimary(hr.primary, replica.BackupConfig{
-		RegionID:   id,
-		ServerName: s.cfg.Name,
-		Mode:       mode,
-		Device:     s.cfg.Device,
-		Endpoint:   s.cfg.Endpoint,
-		Cycles:     s.cfg.Cycles,
-		Cost:       s.cfg.Cost,
-		LSM:        opt,
-		Trace:      s.trace,
-	}, oldToNew)
+	cfg := s.backupConfig(id, hr.mode)
+	s.mu.Unlock()
+	b, err := replica.NewBackupFromPrimary(hr.primary, cfg, oldToNew)
 	if err != nil {
 		return nil, err
 	}
@@ -574,6 +551,8 @@ func (s *Server) Primary(id region.ID) (*replica.Primary, bool) {
 }
 
 // DropRegion removes a hosted region (used when the master reassigns).
+// A hosted backup is torn down as Crash tears it down, so a primary
+// still attached to it evicts it on its next ship.
 func (s *Server) DropRegion(id region.ID) error {
 	s.mu.Lock()
 	hr, ok := s.regions[id]
@@ -588,6 +567,9 @@ func (s *Server) DropRegion(id region.ID) error {
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownRegion, id)
+	}
+	if hr.backup != nil {
+		hr.backup.Crash()
 	}
 	if hr.db != nil && !hr.isAlias {
 		return hr.db.Close()
@@ -797,6 +779,11 @@ func (s *Server) Close() error {
 	for _, hr := range regions {
 		if hr.primary != nil {
 			hr.primary.DetachAll()
+		}
+		if hr.backup != nil {
+			// Reap the backup's control loop and Build-Index worker, as
+			// Crash does.
+			hr.backup.Crash()
 		}
 		if hr.db != nil {
 			if err := hr.db.Close(); err != nil && firstErr == nil {

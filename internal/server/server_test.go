@@ -3,7 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
@@ -220,6 +222,48 @@ func TestFlushDrainsBuildIndexBackups(t *testing.T) {
 	if devB.Stats().BytesRead == 0 {
 		t.Fatal("Build-Index backup never compacted")
 	}
+}
+
+// TestCloseLeavesNoGoroutines asserts that Close reaps a hosted
+// Build-Index backup's goroutines (its control loop and the index
+// worker draining idxQueue), as Crash does, and the server's own.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sp, _ := newTestServer(t, "sp")
+	sb, _ := newTestServer(t, "sb")
+	r := wholeKeyspace("sp", "sb")
+	p, err := sp.OpenPrimary(r, replica.BuildIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sb.OpenBackup(r, replica.BuildIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica.Attach(p, b)
+	for i := 0; i < 1500; i++ {
+		if err := p.DB().Put([]byte(fmt.Sprintf("key%06d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sp.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines: %d before the servers, %d after Close — a backup goroutine leaked",
+		before, runtime.NumGoroutine())
 }
 
 func TestWorkerQueueDepthConfig(t *testing.T) {
