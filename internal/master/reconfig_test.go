@@ -3,7 +3,9 @@ package master
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"tebis/internal/region"
 	"tebis/internal/replica"
@@ -379,6 +381,160 @@ func TestMasterFailoverMidMigration(t *testing.T) {
 			np, _ := h.servers["s2"].Primary(newID)
 			if err := np.DB().Put([]byte("zzz-post-recovery"), []byte("v")); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMigrateChildAbortDropsSeededBackup fails a split child's
+// migration onto one of its engine owner's backups after the seed: the
+// child's row lists that server as a backup, yet the rollback must still
+// detach and drop the half-seeded replica, and a re-run must seed again
+// rather than promote it.
+func TestMigrateChildAbortDropsSeededBackup(t *testing.T) {
+	h := newHarness(t, 3, replica.SendIndex)
+	h.bootstrap(1, 1)
+	h.seed(0, 600)
+	r0, _ := h.m.Map().ByID(0)
+	newID, err := h.m.SplitRegion(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, _ := h.m.Map().ByID(newID)
+	target := child.Backups[0] // the owner's backup, mirrored into the child's row
+
+	// Lose the coordination session once the transfer starts: the seed
+	// completes, then recording the switch fails and the rollback is left
+	// to a successor.
+	h.m.ReconfigHook = func(op, ph string) error {
+		if op == OpMigrate && ph == PhaseTransfer {
+			h.m.sess.Close()
+		}
+		return nil
+	}
+	if _, err := h.m.MigrateRegion(newID, target); err == nil || errors.Is(err, ErrReconfigInterrupted) {
+		t.Fatalf("err = %v, want a failed switch", err)
+	}
+	seeded, ok := h.servers[target].Backup(newID)
+	if !ok {
+		t.Fatalf("precondition: %s holds no seeded backup of region %d", target, newID)
+	}
+
+	m2 := h.successor()
+	h.assertConverged(m2)
+	if _, ok := h.servers[target].Backup(newID); ok {
+		t.Fatalf("rollback kept %s's half-seeded backup of region %d", target, newID)
+	}
+	op, _ := h.servers[r0.Primary].Primary(0)
+	for _, b := range op.Backups() {
+		if b == seeded {
+			t.Fatal("the owner's primary still ships to the dropped backup")
+		}
+	}
+
+	shipped, err := m2.MigrateRegion(newID, target)
+	if err != nil {
+		t.Fatalf("re-migrate after rollback: %v", err)
+	}
+	if shipped <= 0 {
+		t.Fatalf("re-run shipped %d bytes; it must seed the destination again", shipped)
+	}
+	moved, _ := m2.Map().ByID(newID)
+	np, ok := h.servers[target].Primary(newID)
+	if !ok {
+		t.Fatal("destination not serving the child")
+	}
+	for i := 0; i < 600; i++ {
+		key := []byte(fmt.Sprintf("key%06d", i))
+		if !moved.Contains(key) {
+			continue
+		}
+		if _, found, err := np.DB().Get(key); err != nil || !found {
+			t.Fatalf("migrated key %s: found=%v err=%v", key, found, err)
+		}
+	}
+	h.assertConverged(m2)
+}
+
+// TestBackupFailureWaitsForMigration fails a region's backup while a
+// migration holds the region frozen, once by crash and once by eviction:
+// the recovery waits for the migration instead of thawing the region
+// inside its freeze window. A crashed backup fails the migration's tail
+// seal, so that migration rolls back; an evicted one stays reachable and
+// the migration commits.
+func TestBackupFailureWaitsForMigration(t *testing.T) {
+	for _, how := range []string{"crash", "evict"} {
+		t.Run(how, func(t *testing.T) {
+			h := newHarness(t, 4, replica.SendIndex)
+			h.bootstrap(1, 1)
+			h.seed(0, 500)
+			r0, _ := h.m.Map().ByID(0)
+			backup := r0.Backups[0]
+			var dst string
+			for i := 0; i < 4; i++ {
+				if name := fmt.Sprintf("s%d", i); name != r0.Primary && name != backup {
+					dst = name
+				}
+			}
+
+			frozen, release := make(chan struct{}), make(chan struct{})
+			h.m.ReconfigHook = func(op, ph string) error {
+				if op == OpMigrate && ph == PhaseTransfer {
+					close(frozen)
+					<-release
+				}
+				return nil
+			}
+			migrated := make(chan error, 1)
+			go func() {
+				_, err := h.m.MigrateRegion(0, dst)
+				migrated <- err
+			}()
+			<-frozen
+
+			recovered := make(chan error, 1)
+			if how == "crash" {
+				h.servers[backup].Crash()
+				h.sess[backup].Close()
+				go func() { recovered <- h.m.HandleServerFailure(backup) }()
+			} else {
+				go func() { recovered <- h.m.ReplaceBackup(0, backup) }()
+			}
+			select {
+			case err := <-recovered:
+				close(release)
+				t.Fatalf("recovery ran inside the migration's freeze window (err = %v)", err)
+			case <-time.After(200 * time.Millisecond):
+			}
+			if !h.servers[r0.Primary].Frozen(0) {
+				close(release)
+				t.Fatal("region 0 thawed inside the migration's freeze window")
+			}
+			close(release)
+			if err := <-migrated; err != nil && how == "evict" {
+				t.Fatalf("migration: %v", err)
+			}
+			if err := <-recovered; err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+
+			h.assertConverged(h.m)
+			after, _ := h.m.Map().ByID(0)
+			if how == "evict" && after.Primary != dst {
+				t.Fatalf("primary = %s, want %s", after.Primary, dst)
+			}
+			if slices.Contains(after.Backups, backup) || len(after.Backups) == 0 {
+				t.Fatalf("backups after recovery = %v", after.Backups)
+			}
+			np, ok := h.servers[after.Primary].Primary(0)
+			if !ok {
+				t.Fatalf("%s not serving region 0", after.Primary)
+			}
+			for i := 0; i < 500; i++ {
+				key := []byte(fmt.Sprintf("key%06d", i))
+				if _, found, err := np.DB().Get(key); err != nil || !found {
+					t.Fatalf("key %s after recovery: found=%v err=%v", key, found, err)
+				}
 			}
 		})
 	}
